@@ -4,7 +4,12 @@
 // aggregate multi-worker phase (phase 3) over a second deployment:
 //   (1) closed loop: windowed request/response with full per-packet
 //       accounting — the RTT histogram (duet.loadgen.rtt_us) is complete,
-//       so the latency percentiles are trustworthy;
+//       so the latency percentiles are trustworthy. Then the update lag on
+//       the same deployment: 50 times, a fresh VIP on a fresh echo DIP is
+//       mapped and pushed with apply_vip_update and probed every 0.2 ms
+//       until its first echo (duet.live.update_lag_p{50,99}_ms) — the live
+//       counterpart of the paper's Fig 14 "time until the new placement
+//       serves";
 //   (2) open loop: paced at DUET_LIVE_PPS (default 400 K) for
 //       DUET_LIVE_SECONDS — the throughput number. The acceptance line is
 //       >= 300 Kpps sustained on loopback with ZERO parse failures (every
@@ -27,7 +32,9 @@
 // the wire was corrupted (parse failures / integrity / remap violations) —
 // a real bug, not machine variance. A below-target pps prints a warning by
 // default (shared CI machines can't promise cycles); DUET_LIVE_STRICT=1
-// makes it exit 1 — the CI perf-smoke leg's acceptance gate.
+// makes it exit 1 — the CI perf-smoke leg's acceptance gate. The same holds
+// for an update-lag p50 above DUET_LIVE_UPDATE_LAG_MAX_MS (default 5 ms); a
+// fresh VIP that never echoes within 1 s always fails.
 //
 // Phase 3 (aggregate): a second deployment — stateless engine so the
 // in-process fast tier serves, pin_cpus workers behind one SO_REUSEPORT
@@ -40,9 +47,13 @@
 //
 // Env knobs: DUET_LIVE_SECONDS, DUET_LIVE_PPS, DUET_LIVE_MIN_PPS,
 // DUET_LIVE_WORKERS, DUET_LIVE_ATTEMPTS, DUET_LIVE_STRICT,
+// DUET_LIVE_UPDATE_LAG_MAX_MS,
 // DUET_LIVE_AGG_{WORKERS,GENS,PPS,MIN_PPS,SECONDS,ATTEMPTS,STRICT},
 // DUET_BENCH_QUICK (halves the phases).
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -53,9 +64,11 @@
 #include "common.h"
 #include "duet/config.h"
 #include "net/hash.h"
+#include "net/wire.h"
 #include "runtime/fake_dip.h"
 #include "runtime/load_gen.h"
 #include "runtime/mux_server.h"
+#include "util/stats.h"
 
 using namespace duet;
 
@@ -64,6 +77,33 @@ namespace {
 double env_or(const char* name, double fallback) {
   const char* v = std::getenv(name);
   return v != nullptr && v[0] != '\0' ? std::strtod(v, nullptr) : fallback;
+}
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
+}
+
+// Sends a probe datagram for `vip` through the mux every 0.2 ms until the
+// echo DIP's reply reaches `probe` (whose port is the reply address) or
+// `timeout_ms` passes. Returns false on timeout.
+bool probe_until_echo(const runtime::UdpSocket& probe, runtime::Endpoint mux, Ipv4Address vip,
+                      double timeout_ms) {
+  const FiveTuple tuple{Ipv4Address{10, 99, 0, 1}, vip, probe.local().port, 80, IpProto::kUdp};
+  const auto bytes = serialize_packet(Packet{tuple, 64});
+  const auto start = Clock::now();
+  auto last_send = start;
+  (void)probe.send_to(bytes, mux);
+  std::uint8_t buf[2048];
+  while (ms_since(start) < timeout_ms) {
+    if (::recv(probe.fd(), buf, sizeof(buf), 0) > 0) return true;
+    if (ms_since(last_send) >= 0.2) {
+      last_send = Clock::now();
+      (void)probe.send_to(bytes, mux);
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -152,6 +192,53 @@ int main() {
     t1.add_row({"rtt max (us)", TablePrinter::fmt(rtt->max(), "%.0f")});
   }
   t1.print();
+
+  // Update lag on the phase-1 deployment: how long a control change takes
+  // to serve. Each sample binds a fresh echo DIP on the running pool, maps
+  // it, pushes a fresh VIP onto it, and probes until the first echo. The
+  // clock starts before the mapping, so it covers both the mux's and the
+  // echo pool's wake-up.
+  constexpr std::size_t kLagSamples = 50;
+  const double lag_max_ms = env_or("DUET_LIVE_UPDATE_LAG_MAX_MS", 5.0);
+  auto lag_probe = runtime::UdpSocket::bind(runtime::Endpoint{kLoopback, 0});
+  if (!lag_probe.has_value()) {
+    std::printf("SKIP: could not bind the update-lag probe socket\n");
+    return 0;
+  }
+  Summary lag_ms;
+  std::size_t lag_unanswered = 0;
+  for (std::size_t i = 0; i < kLagSamples; ++i) {
+    const Ipv4Address vip{100, 200, 0, static_cast<std::uint8_t>(i + 1)};
+    const Ipv4Address dip{10, 200, 0, static_cast<std::uint8_t>(i + 1)};
+    const auto t0 = Clock::now();
+    const auto at = dips.add_dip(dip);
+    if (!at.has_value()) {
+      std::printf("SKIP: could not bind echo DIP sockets\n");
+      return 0;
+    }
+    mux.apply_dip_map(dip, *at);
+    mux.apply_vip_update(vip, {dip});
+    if (!probe_until_echo(*lag_probe, mux.listen_endpoint(), vip, 1000.0)) {
+      ++lag_unanswered;
+      continue;
+    }
+    lag_ms.add(ms_since(t0));
+    // Late echoes of this sample's resends must not answer the next one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::uint8_t buf[2048];
+    while (::recv(lag_probe->fd(), buf, sizeof(buf), 0) > 0) {
+    }
+  }
+  const double lag_p50 = lag_ms.empty() ? 0.0 : lag_ms.percentile(50);
+  const double lag_p99 = lag_ms.empty() ? 0.0 : lag_ms.percentile(99);
+  std::printf("\nupdate lag: %zu fresh VIPs, apply_vip_update to first echo\n", kLagSamples);
+  TablePrinter tl{{"metric", "value"}};
+  tl.add_row({"answered / pushed",
+              TablePrinter::fmt_int(static_cast<long long>(lag_ms.count())) + " / " +
+                  TablePrinter::fmt_int(static_cast<long long>(kLagSamples))});
+  tl.add_row({"lag p50 (ms)", TablePrinter::fmt(lag_p50, "%.3f")});
+  tl.add_row({"lag p99 (ms)", TablePrinter::fmt(lag_p99, "%.3f")});
+  tl.print();
 
   // Phase 2: open-loop throughput, best of up to max_attempts runs (the
   // floor is a capability gate; see the header comment). Corruption
@@ -339,6 +426,10 @@ int main() {
     out.gauge("duet.live.rtt_p50_us").set(rtt->percentile(50));
     out.gauge("duet.live.rtt_p99_us").set(rtt->percentile(99));
   }
+  out.gauge("duet.live.update_lag_p50_ms").set(lag_p50);
+  out.gauge("duet.live.update_lag_p99_ms").set(lag_p99);
+  out.gauge("duet.live.update_lag_max_ms").set(lag_max_ms);
+  out.gauge("duet.live.update_lag_unanswered").set(static_cast<double>(lag_unanswered));
   out.gauge("duet.live.agg_ran").set(agg_ran ? 1.0 : 0.0);
   out.gauge("duet.live.agg_workers").set(static_cast<double>(agg_workers));
   out.gauge("duet.live.agg_generators").set(static_cast<double>(agg_gens));
@@ -358,7 +449,19 @@ int main() {
     return 1;
   }
   if (agg_decision_bug) return 1;
+  if (lag_unanswered != 0) {
+    std::printf("\nFAIL: %zu of %zu fresh VIPs never echoed within 1 s\n", lag_unanswered,
+                kLagSamples);
+    return 1;
+  }
   bool failed = false;
+  if (lag_p50 > lag_max_ms) {
+    std::printf("\n%s: update lag p50 %.3f ms > %.1f ms%s\n", strict ? "FAIL" : "WARNING",
+                lag_p50, lag_max_ms, strict ? "" : " (machine load?)");
+    failed = failed || strict;
+  } else {
+    std::printf("\nOK: update lag p50 %.3f ms <= %.1f ms\n", lag_p50, lag_max_ms);
+  }
   if (open.send_pps < min_pps) {
     std::printf("\n%s: sustained %.0f pps < %.0f floor%s\n", strict ? "FAIL" : "WARNING",
                 open.send_pps, min_pps, strict ? "" : " (machine load?)");

@@ -36,7 +36,7 @@
 // index) and per batch publish the table they read through a per-reader
 // hazard slot — acquire() is an acquire-load plus one uncontended store and
 // a re-check; no locks, no allocation, no CAS. rebuild() runs off the
-// serving path (worker tick / controller epoch): it re-snapshots the Smux
+// serving path (worker wake-up or tick / controller epoch): it re-snapshots the Smux
 // into the spare buffer, swaps `current`, then spins until no reader still
 // holds the retired buffer, which makes that buffer the next rebuild's
 // spare. Lookup and acquire/release are DUET_HOT purity roots enforced by
@@ -133,7 +133,7 @@ class FastTierTable {
 // The double-buffered container: one per worker (its Smux replica is the
 // snapshot source), or standalone in tests/benches. Readers and the single
 // rebuilder may run on different threads; rebuilds are serialized by the
-// caller (they run on the owning worker's tick).
+// caller (they run on the owning worker's serving thread, between batches).
 class FastTier {
  public:
   struct RebuildStats {

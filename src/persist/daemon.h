@@ -5,7 +5,7 @@
 //     journaled, periodic snapshots, crash recovery with a boot audit;
 //   * a MuxServer (runtime/mux_server.h): the live SMux worker pool on a real
 //     UDP socket, kept in sync with the controller's VIP→DIP state via the
-//     tick-applied live-update queues;
+//     live-update queues its workers apply as soon as they are woken;
 //   * a FakeDipPool: in-process echo backends standing in for real DIPs —
 //     every DIP the controller knows gets a loopback endpoint, mapped into
 //     the serving path (runtime-local state, deliberately NOT journaled: on
@@ -69,6 +69,9 @@ struct DuetdOptions {
   // In-process hot-VIP fast tier (DESIGN.md §17); on by default, admission
   // is automatic so a stateful deployment is unaffected either way.
   bool fast_tier = true;
+  // Housekeeping tick of the serving workers and the echo pool (see
+  // MuxServerOptions::tick_ms). Live updates never wait for it.
+  int tick_ms = 50;
 };
 
 class Duetd {

@@ -129,7 +129,8 @@ void EventLoop::wake() {
 }
 
 void EventLoop::run(const std::atomic<bool>& stop, int tick_ms,
-                    const std::function<void()>& on_tick) {
+                    const std::function<void()>& on_tick,
+                    const std::function<void()>& on_wake) {
   if (!impl_->ok()) return;
   if (tick_ms < 1) tick_ms = 1;
   auto last_tick = Clock::now();
@@ -141,12 +142,18 @@ void EventLoop::run(const std::atomic<bool>& stop, int tick_ms,
 #if DUET_RUNTIME_HAVE_EPOLL
     epoll_event events[64];
     const int n = epoll_wait(impl_->epoll_fd, events, 64, timeout);
+    // The wake goes first, so whatever was queued before wake() is in place
+    // before this round's datagrams are dispatched.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd == impl_->wake_rd) {
+        impl_->drain_wake();
+        if (on_wake) on_wake();
+        break;
+      }
+    }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == impl_->wake_rd) {
-        impl_->drain_wake();
-        continue;
-      }
+      if (fd == impl_->wake_rd) continue;
       if (const auto it = impl_->callbacks.find(fd); it != impl_->callbacks.end()) it->second();
     }
 #else
@@ -160,10 +167,12 @@ void EventLoop::run(const std::atomic<bool>& stop, int tick_ms,
     }
     const int n = poll(impl_->pollset.data(), impl_->pollset.size(), timeout);
     if (n > 0) {
+      // pollset[0] is the wake channel, so the wake goes first here too.
       for (const pollfd& p : impl_->pollset) {
         if ((p.revents & POLLIN) == 0) continue;
         if (p.fd == impl_->wake_rd) {
           impl_->drain_wake();
+          if (on_wake) on_wake();
           continue;
         }
         const auto it = impl_->callbacks.find(p.fd);

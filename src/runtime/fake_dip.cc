@@ -36,8 +36,8 @@ std::optional<Endpoint> FakeDipPool::add_dip(Ipv4Address dip) {
     dips_.push_back(std::move(ds));
   } else {
     // Live add: the socket already accepts (the kernel queues until the
-    // serving loop registers it on the next tick), so the returned endpoint
-    // can be mapped immediately.
+    // woken serving loop registers it), so the returned endpoint can be
+    // mapped immediately.
     {
       std::lock_guard<std::mutex> lock(pending_mu_);
       pending_.push_back(std::move(ds));
@@ -73,7 +73,8 @@ bool FakeDipPool::start() {
     }
   }
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { loop_.run(stop_, opts_.tick_ms, [this] { drain_pending(); }); });
+  thread_ = std::thread(
+      [this] { loop_.run(stop_, opts_.tick_ms, nullptr, [this] { drain_pending(); }); });
   return true;
 }
 

@@ -32,7 +32,7 @@ class FakeDipPool {
     Ipv4Address bind_addr{127, 0, 0, 1};
     Ipv4Address reply_addr{127, 0, 0, 1};
     std::size_t batch = 64;
-    int tick_ms = 50;
+    int tick_ms = 50;  // stop-flag re-check period; live adds land on wake
   };
 
   FakeDipPool() : FakeDipPool(Options{}) {}
@@ -44,8 +44,8 @@ class FakeDipPool {
   // Binds an echo socket for `dip`; returns the real endpoint to hand to
   // MuxServer::map_dip, or nullopt on bind failure. Works before start() and
   // on a RUNNING pool: a live add is bound immediately (the endpoint is
-  // valid at once) and registered with the serving loop on its next tick —
-  // duetd's `duetctl add-dip` path.
+  // valid at once) and registered by the serving loop as soon as add_dip
+  // wakes it — duetd's `duetctl add-dip` path.
   std::optional<Endpoint> add_dip(Ipv4Address dip);
 
   bool start();
@@ -60,11 +60,12 @@ class FakeDipPool {
  private:
   struct DipSock;
   void pump(DipSock& ds);
-  // Registers queued live adds with the loop. Runs on the pool thread.
+  // Registers queued live adds with the loop. Runs on the pool thread (wake
+  // callback).
   void drain_pending();
 
   Options opts_;
-  mutable std::mutex dips_mu_;  // guards dips_ against the tick's appends
+  mutable std::mutex dips_mu_;  // guards dips_ against drain_pending's appends
   std::vector<std::unique_ptr<DipSock>> dips_;
   std::mutex pending_mu_;
   std::vector<std::unique_ptr<DipSock>> pending_;

@@ -71,9 +71,14 @@ struct MuxServer::Worker {
 
   // This worker's fast tier (DESIGN.md §17), snapshotting this worker's own
   // Smux replica: settledness is per-replica state, so the table must be
-  // built from — and on the tick thread of — the replica it fronts.
+  // built from — and on the serving thread of — the replica it fronts.
   FastTier fast{1};
-  bool fast_dirty = true;         // VIP churn since the last snapshot
+  // A change touched an admitted VIP, or added a VIP that can be admitted
+  // at once: the snapshot is rebuilt before the next batch.
+  bool fast_stale = false;
+  // VIPs may be admissible that the snapshot lacks — changed VIPs it did
+  // not hold, or VIPs the last build rejected as unsettled. The tick retries.
+  bool fast_pending = true;
   std::uint64_t fast_seen_seq = 0;  // last rebuild_fast_tier() clock applied
 
   // Lock-free serving counters, this worker the only writer (one cache
@@ -94,7 +99,7 @@ struct MuxServer::Worker {
 
   // This worker's own DIP→endpoint map. Unshared, so pump() reads it without
   // synchronization; live changes arrive through the pending queue below and
-  // land on the worker thread's tick.
+  // land when the worker's loop is woken.
   util::FlatTable<Ipv4Address, Endpoint> dip_map;
   std::mutex pending_mu;
   std::vector<PendingUpdate> pending;
@@ -154,13 +159,15 @@ void MuxServer::drain_updates(Worker& worker) {
   }
   for (const PendingUpdate& u : batch) {
     switch (u.kind) {
-      case PendingUpdate::Kind::kSetVip:
+      case PendingUpdate::Kind::kSetVip: {
+        const bool fresh = !worker.smux.has_vip(u.vip);
         worker.smux.set_vip(u.vip, u.dips, u.weights);
-        worker.fast_dirty = true;  // snapshot is stale until re-admitted
+        mark_fast_changed(worker, u.vip, fresh);
         break;
+      }
       case PendingUpdate::Kind::kRemoveVip:
         worker.smux.remove_vip(u.vip);
-        worker.fast_dirty = true;
+        mark_fast_changed(worker, u.vip, false);
         break;
       case PendingUpdate::Kind::kMapDip:
         worker.dip_map.insert(u.dip, u.at);  // post-decision; tier unaffected
@@ -264,7 +271,7 @@ bool MuxServer::start() {
       workers_.clear();
       return false;
     }
-    worker->dip_map = dip_map_;  // private copy; live changes arrive per tick
+    worker->dip_map = dip_map_;  // private copy; live changes arrive on wake
     workers_.push_back(std::move(worker));
   }
 
@@ -307,15 +314,31 @@ double MuxServer::now_us() const {
       .count();
 }
 
-void MuxServer::maybe_rebuild_fast(Worker& worker, double now) {
+void MuxServer::mark_fast_changed(Worker& worker, Ipv4Address vip, bool fresh) {
+  // A VIP the snapshot does not hold misses it and is decided by the Smux
+  // replica, so the snapshot stays exact; only admitting it can wait. A
+  // fresh VIP has a single map version and is admitted at once; a changed
+  // one is usually still draining, which the tick retry covers.
+  if (fresh || worker.fast.current()->admits(vip)) {
+    worker.fast_stale = true;
+  } else {
+    worker.fast_pending = true;
+  }
+}
+
+void MuxServer::maybe_rebuild_fast(Worker& worker, double now, bool admit) {
   if (!opts_.fast_tier) return;
   const std::uint64_t seq = fast_rebuild_seq_.load(std::memory_order_acquire);
-  if (!worker.fast_dirty && seq == worker.fast_seen_seq) return;
-  worker.fast_dirty = false;
+  if (!worker.fast_stale && !(admit && worker.fast_pending) && seq == worker.fast_seen_seq) {
+    return;
+  }
   worker.fast_seen_seq = seq;
-  // Off the serving path: this tick-thread build never races pump() on this
-  // worker (same thread), and the swap protocol covers external readers.
-  worker.fast.rebuild(worker.smux, now);
+  worker.fast_stale = false;
+  // Between batches: this build never races pump() on this worker (same
+  // thread), and the swap protocol covers external readers. A VIP whose old
+  // map version is still draining is rejected as unsettled; staying pending
+  // lets the tick retry until it settles and is re-admitted.
+  worker.fast_pending = worker.fast.rebuild(worker.smux, now).rejected_unsettled > 0;
 }
 
 void MuxServer::fold_stats(Worker& worker) {
@@ -355,25 +378,27 @@ void MuxServer::serve(std::size_t index) {
     }
   }
   // First snapshot before any packet, so a stateless deployment serves its
-  // very first batch from the fast tier.
-  worker.fast_seen_seq = fast_rebuild_seq_.load(std::memory_order_acquire);
-  if (opts_.fast_tier) {
-    worker.fast_dirty = false;
-    worker.fast.rebuild(worker.smux, now_us());
-  }
+  // very first batch from the fast tier (a new worker starts pending).
+  maybe_rebuild_fast(worker, now_us(), /*admit=*/true);
   worker.loop.add(worker.sock.fd(), [this, &worker] { pump(worker, false); });
-  worker.loop.run(stop_, opts_.tick_ms, [this, &worker] {
-    // Control-plane changes land here, on the serving thread, between
-    // batches — no lock on the packet path.
-    drain_updates(worker);
+  const auto on_tick = [this, &worker] {
     // One clock read per tick; bounded incremental eviction (never a
     // full-table pass on the serving thread).
     const double now = now_us();
-    maybe_rebuild_fast(worker, now);
+    maybe_rebuild_fast(worker, now, /*admit=*/true);
     worker.smux.expire_flows_step(now, opts_.evict_scan_slots);
     fold_stats(worker);
     if (worker.index == 0) maybe_export_stats(now);
-  });
+  };
+  const auto on_wake = [this, &worker] {
+    // Control-plane changes land here, on the serving thread, before the
+    // woken round's batches — no lock on the packet path. A snapshot that a
+    // change made wrong is rebuilt in the same call, so no batch is decided
+    // by a fast tier older than the Smux replica it fronts.
+    drain_updates(worker);
+    maybe_rebuild_fast(worker, now_us(), /*admit=*/false);
+  };
+  worker.loop.run(stop_, opts_.tick_ms, on_tick, on_wake);
   // Drain: serve whatever the kernel already queued, then exit. Each pump
   // empties the socket, so the first empty read means the queue is flushed.
   const auto deadline =

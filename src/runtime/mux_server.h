@@ -9,10 +9,11 @@
 // Per batch (DESIGN.md §12): recvmmsg → parse_packet per datagram →
 // Smux::process_batch (one clock read per batch, flow-slot prefetch, batched
 // telemetry) → encapsulate_on_wire into each rx buffer's headroom
-// (zero-copy) → sendmmsg to the DIPs' real endpoints (map_dip). Idle-flow
-// eviction runs as a bounded incremental scan on the event-loop tick
-// (evict_scan_slots per tick), never a full-table pass on the serving
-// thread. Every Smux replica is built
+// (zero-copy) → sendmmsg to the DIPs' real endpoints (map_dip). Live
+// control updates are applied when the worker's loop is woken, ahead of the
+// next batch. Idle-flow eviction runs as a bounded incremental scan on the
+// event-loop tick (evict_scan_slots per tick), never a full-table pass on
+// the serving thread. Every Smux replica is built
 // from the same FlowHasher seed and per-VIP salt as a pure-simulation Smux,
 // so live first-packet decisions are bit-identical to the sim's — the
 // equivalence contract tests/runtime_test.cc asserts.
@@ -47,7 +48,7 @@ struct MuxServerOptions {
   Endpoint listen{Ipv4Address{127, 0, 0, 1}, 0};  // port 0 = kernel-assigned
   std::size_t workers = 1;
   std::size_t batch = 64;    // datagrams per recvmmsg/sendmmsg
-  int tick_ms = 50;          // event-loop tick (flow expiry, stats)
+  int tick_ms = 50;          // event-loop tick (flow expiry, stats, re-admission)
   double stats_interval_s = 0.0;  // >0: periodic live counters
   std::string stats_json_path;    // interval-exported JSON ("" = none)
   bool print_stats = false;       // one stdout line per interval
@@ -89,17 +90,22 @@ class MuxServer {
   // --- live reconfiguration ---------------------------------------------------
   // Thread-safe VIP/DIP mutation that also works while serving: before
   // start() these behave like set_vip/map_dip; on a running server the
-  // change is queued per worker and applied on that worker's next event-loop
-  // tick — the hot path itself never takes a lock (each worker owns its Smux
-  // replica and its own DIP→endpoint map copy). Convergence latency is
-  // therefore bounded by tick_ms. duetd drives these from its ops socket.
+  // change is queued per worker and the worker's loop is woken, which
+  // applies it before that worker serves its next batch — re-snapshotting
+  // the fast tier first when the change touched a VIP it admits or added a
+  // new VIP (a changed VIP it does not hold is admitted by the tick). The
+  // hot path itself never takes a lock (each worker
+  // owns its Smux replica and its own DIP→endpoint map copy). Convergence
+  // latency is one loop wake-up per worker, independent of tick_ms.
+  // duetd drives these from its ops socket.
   void apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
                         std::vector<std::uint32_t> weights = {});
   void apply_vip_removal(Ipv4Address vip);
   void apply_dip_map(Ipv4Address dip, Endpoint at);
-  // Requests a fast-tier re-snapshot on every worker (applied on the next
-  // tick, like the update queue). VIP changes trigger one implicitly; this
-  // is the explicit controller/duetd epoch push (kFastTierRebuild).
+  // Requests a fast-tier re-snapshot on every worker (applied when the
+  // worker is woken, like the update queue). VIP changes trigger one
+  // implicitly; this is the explicit controller/duetd epoch push
+  // (kFastTierRebuild).
   void rebuild_fast_tier();
 
   // --- lifecycle ------------------------------------------------------------
@@ -165,13 +171,18 @@ class MuxServer {
   // Queues one update on every worker and wakes their loops.
   void enqueue_update(const PendingUpdate& update);
   // Applies queued updates to this worker's Smux replica + DIP map. Runs on
-  // the worker thread (tick callback), so it never races process_batch.
+  // the worker thread (wake callback), so it never races process_batch.
   void drain_updates(Worker& worker);
 
   void serve(std::size_t index);
-  // Re-snapshots the worker's fast tier when VIP churn or an explicit
-  // rebuild request made it stale. Tick-thread only.
-  void maybe_rebuild_fast(Worker& worker, double now);
+  // Records a change to `vip` against the worker's fast-tier snapshot:
+  // stale when the snapshot admits the VIP or the VIP is `fresh` (new to
+  // the replica), otherwise pending admission on the tick.
+  void mark_fast_changed(Worker& worker, Ipv4Address vip, bool fresh);
+  // Re-snapshots the worker's fast tier when a change or an explicit
+  // rebuild request made it stale, or — with `admit` (the tick) — when VIPs
+  // are pending admission. Worker thread only (wake and tick callbacks).
+  void maybe_rebuild_fast(Worker& worker, double now, bool admit);
   // Pushes this worker's counter deltas into the shared registry (tick and
   // final drain; never the per-batch path).
   void fold_stats(Worker& worker);
@@ -213,7 +224,7 @@ class MuxServer {
   std::chrono::steady_clock::time_point t0_;
 
   // Fast-tier rebuild request clock: rebuild_fast_tier() bumps it, each
-  // worker's tick re-snapshots when its seen value lags.
+  // woken worker re-snapshots when its seen value lags.
   std::atomic<std::uint64_t> fast_rebuild_seq_{0};
 
   // Interval-stats state; touched only by worker 0's tick. The interval

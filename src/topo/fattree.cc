@@ -6,6 +6,17 @@
 
 namespace duet {
 
+namespace {
+
+// "<prefix><index>", built by appending: GCC 12 reports a false -Wrestrict
+// on `"C" + std::to_string(k)` in optimized builds.
+std::string switch_name(std::string prefix, std::size_t index) {
+  prefix += std::to_string(index);
+  return prefix;
+}
+
+}  // namespace
+
 FatTree build_fattree(const FatTreeParams& params) {
   DUET_CHECK(params.containers > 0 && params.tors_per_container > 0 &&
              params.aggs_per_container > 0 && params.cores > 0)
@@ -17,7 +28,7 @@ FatTree build_fattree(const FatTreeParams& params) {
 
   // Core layer.
   for (std::size_t k = 0; k < params.cores; ++k) {
-    ft.cores.push_back(topo.add_switch(SwitchRole::kCore, kNoContainer, "C" + std::to_string(k)));
+    ft.cores.push_back(topo.add_switch(SwitchRole::kCore, kNoContainer, switch_name("C", k)));
   }
 
   // Containers: Aggs then ToRs; ToR–Agg full bipartite inside a container.
@@ -25,13 +36,13 @@ FatTree build_fattree(const FatTreeParams& params) {
     std::vector<SwitchId> container_aggs;
     for (std::size_t a = 0; a < params.aggs_per_container; ++a) {
       const auto id = topo.add_switch(SwitchRole::kAgg, static_cast<ContainerId>(c),
-                                      "A" + std::to_string(c) + "." + std::to_string(a));
+                                      switch_name(switch_name("A", c) + '.', a));
       container_aggs.push_back(id);
       ft.aggs.push_back(id);
     }
     for (std::size_t t = 0; t < params.tors_per_container; ++t) {
       const auto id = topo.add_switch(SwitchRole::kTor, static_cast<ContainerId>(c),
-                                      "T" + std::to_string(c) + "." + std::to_string(t));
+                                      switch_name(switch_name("T", c) + '.', t));
       ft.tors.push_back(id);
       for (const SwitchId agg : container_aggs) {
         topo.add_link(id, agg, params.tor_agg_gbps);

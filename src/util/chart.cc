@@ -81,16 +81,25 @@ std::string render_chart(const std::vector<Series>& series, const ChartOptions& 
   std::snprintf(buf, sizeof(buf), "%*.4g", static_cast<int>(options.width - 12), xmax);
   out += buf;
   if (!options.x_label.empty() || !options.y_label.empty()) {
-    out += "\n" + std::string(12, ' ') + options.x_label;
-    if (!options.y_label.empty()) out += "   [y: " + options.y_label + "]";
+    out += '\n';
+    out.append(12, ' ');
+    out += options.x_label;
+    if (!options.y_label.empty()) {
+      out += "   [y: ";
+      out += options.y_label;
+      out += ']';
+    }
   }
   // Legend.
   if (series.size() > 1 || !series.empty()) {
-    out += "\n" + std::string(12, ' ');
+    out += '\n';
+    out.append(12, ' ');
     for (const auto& s : series) {
       out += "(";
       out += s.glyph;
-      out += ") " + s.name + "  ";
+      out += ") ";
+      out += s.name;
+      out += "  ";
     }
     out += "(x) lost";
   }

@@ -24,6 +24,7 @@
 #include "audit/invariants.h"
 #include "audit/snapshot.h"
 #include "duet/controller.h"
+#include "live_probe.h"
 #include "persist/ctl_protocol.h"
 #include "persist/daemon.h"
 #include "persist/framing.h"
@@ -924,6 +925,32 @@ TEST(PersistDaemon, MutateCrashRecoverServesRecoveredState) {
   EXPECT_EQ(third.store().recovery().replayed, 0u);
   EXPECT_EQ(third.store().controller().vip_count(), 2u);
   third.stop(false);
+}
+
+TEST(PersistDaemon, AddVipServesWithoutWaitingForTheTick) {
+  auto probe = runtime::UdpSocket::bind(runtime::Endpoint{Ipv4Address{127, 0, 0, 1}, 0});
+  if (!probe.has_value()) GTEST_SKIP() << "no loopback UDP sockets in this sandbox";
+  TempDir dir;
+  DuetdOptions opts;
+  opts.data_dir = dir.path();
+  opts.port = 0;
+  opts.mux_workers = 1;
+  opts.tick_ms = 60000;  // whatever converges below did so on the wake-up
+  Duetd daemon{opts};
+  std::string error;
+  if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
+
+  const Ipv4Address vip{100, 0, 3, 1};
+  ASSERT_TRUE(daemon.handle({"add-vip", "100.0.3.1", "10.0.3.1", "10.0.3.2"}).ok());
+  EXPECT_GE(testutil::probe_until_echo(*probe, daemon.listen_endpoint(), vip, 1000.0), 0.0)
+      << "no echo within 1 s of add-vip";
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  testutil::drain_probe(*probe);
+  ASSERT_TRUE(daemon.handle({"remove-vip", "100.0.3.1"}).ok());
+  EXPECT_LT(testutil::probe_until_echo(*probe, daemon.listen_endpoint(), vip, 200.0, 20.0), 0.0)
+      << "the removed VIP still echoes";
+  daemon.stop(/*snapshot=*/false);
 }
 
 }  // namespace

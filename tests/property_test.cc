@@ -100,9 +100,13 @@ INSTANTIATE_TEST_SUITE_P(Shapes, RoutingProperty,
                          ::testing::Values(FabricShape{2, 2, 2}, FabricShape{3, 4, 2},
                                            FabricShape{4, 6, 4}, FabricShape{6, 4, 6}),
                          [](const auto& info) {
-                           return "c" + std::to_string(info.param.containers) + "t" +
-                                  std::to_string(info.param.tors) + "k" +
-                                  std::to_string(info.param.cores);
+                           std::string name = "c";
+                           name += std::to_string(info.param.containers);
+                           name += 't';
+                           name += std::to_string(info.param.tors);
+                           name += 'k';
+                           name += std::to_string(info.param.cores);
+                           return name;
                          });
 
 // --- Hash agreement across devices, sweeping group size and seed ----------------

@@ -20,6 +20,7 @@
 
 #include "audit/invariants.h"
 #include "duet/smux.h"
+#include "live_probe.h"
 #include "net/wire.h"
 #include "runtime/event_loop.h"
 #include "runtime/fake_dip.h"
@@ -149,6 +150,66 @@ TEST(EventLoop, ReadCallbackFires) {
   loop.wake();
   runner.join();
   EXPECT_EQ(reads.load(), 1);
+}
+
+TEST(EventLoop, OnWakeFiresWithoutWaitingForTheTick) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  std::atomic<bool> stop{false};
+  std::atomic<int> ticks{0};
+  std::atomic<int> wakes{0};
+  std::thread runner([&] {
+    loop.run(stop, 60000, [&] { ticks.fetch_add(1); }, [&] { wakes.fetch_add(1); });
+  });
+  const auto start = std::chrono::steady_clock::now();
+  loop.wake();
+  while (wakes.load() == 0 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  loop.wake();
+  runner.join();
+  EXPECT_GE(wakes.load(), 1);
+  EXPECT_LT(waited, std::chrono::seconds(1));
+  EXPECT_EQ(ticks.load(), 0);
+}
+
+TEST(EventLoop, OnWakeRunsBeforeTheRoundsReadCallbacks) {
+  REQUIRE_LOOPBACK();
+  auto sock = UdpSocket::bind(Endpoint{kLoopback, 0});
+  auto sender = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(sock.has_value() && sender.has_value());
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+
+  // Both a datagram and a wake are pending before the first round.
+  std::vector<char> order;  // written by the loop thread only
+  std::atomic<bool> stop{false};
+  std::atomic<bool> read{false};
+  ASSERT_TRUE(loop.add(sock->fd(), [&] {
+    std::uint8_t buf[64];
+    while (::recv(sock->fd(), buf, sizeof(buf), 0) > 0) order.push_back('r');
+    read.store(true);
+  }));
+  const std::vector<std::uint8_t> ping{1, 2, 3};
+  ASSERT_TRUE(sender->send_to(ping, sock->local()));
+  loop.wake();
+
+  std::thread runner([&] {
+    loop.run(stop, 60000, nullptr, [&] { order.push_back('w'); });
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!read.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  loop.wake();
+  runner.join();
+  ASSERT_GE(order.size(), 2u);
+  EXPECT_EQ(order[0], 'w');
+  EXPECT_EQ(order[1], 'r');
 }
 
 // --- End-to-end loopback: sim/live equivalence ------------------------------------
@@ -318,6 +379,98 @@ TEST(MuxServerLive, MalformedIngressCountsAsParseFailureNotCrash) {
   fx.dips.join();
   EXPECT_EQ(mux.metrics().counter("duet.runtime.parse_failures").value(), 20u);
   EXPECT_EQ(mux.metrics().counter("duet.runtime.tx_packets").value(), 0u);
+}
+
+// --- Live reconfiguration -----------------------------------------------------------
+
+// Ticks far longer than any deadline below: whatever converges here did so
+// on the loop wake-up, not on the tick.
+constexpr int kNoTickMs = 60000;
+
+TEST(MuxServerLive, LiveUpdatesServeWithoutWaitingForTheTick) {
+  REQUIRE_LOOPBACK();
+  FakeDipPool::Options dopts;
+  dopts.tick_ms = kNoTickMs;
+  FakeDipPool dips{dopts};
+  MuxServerOptions mopts;
+  mopts.tick_ms = kNoTickMs;
+  MuxServer mux(mopts, DuetConfig{});
+  ASSERT_TRUE(dips.start());
+  ASSERT_TRUE(mux.start());
+  auto probe = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(probe.has_value());
+
+  // A fresh VIP on a DIP added to the running pool.
+  const Ipv4Address vip{100, 0, 7, 1};
+  const Ipv4Address dip{10, 7, 0, 1};
+  const auto at = dips.add_dip(dip);
+  ASSERT_TRUE(at.has_value());
+  mux.apply_dip_map(dip, *at);
+  mux.apply_vip_update(vip, {dip});
+  EXPECT_GE(testutil::probe_until_echo(*probe, mux.listen_endpoint(), vip, 1000.0), 0.0)
+      << "no echo within 1 s of apply_vip_update";
+  EXPECT_GT(dips.packets_at(dip), 0u);
+
+  // Let stray resends land, then remove the VIP: it must stop echoing.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  testutil::drain_probe(*probe);
+  mux.apply_vip_removal(vip);
+  EXPECT_LT(testutil::probe_until_echo(*probe, mux.listen_endpoint(), vip, 200.0, 20.0), 0.0)
+      << "the removed VIP still echoes";
+
+  mux.shutdown();
+  mux.join();
+  dips.shutdown();
+  dips.join();
+  EXPECT_EQ(dips.rejects_at(dip), 0u);
+}
+
+TEST(MuxServerLive, StatelessVipReturnsToTheFastTierAfterADipChange) {
+  REQUIRE_LOOPBACK();
+  DuetConfig cfg;
+  cfg.smux_engine = SmuxEngine::kStateless;
+  cfg.stateless_drain_idle_us = 20e3;  // old versions drain after 20 ms idle
+  FakeDipPool dips;
+  MuxServerOptions mopts;
+  mopts.tick_ms = 10;
+  MuxServer mux(mopts, cfg);
+  const Ipv4Address vip{100, 0, 8, 1};
+  const std::vector<Ipv4Address> pool{Ipv4Address{10, 8, 0, 1}, Ipv4Address{10, 8, 0, 2},
+                                      Ipv4Address{10, 8, 0, 3}};
+  for (const Ipv4Address dip : pool) {
+    const auto at = dips.add_dip(dip);
+    ASSERT_TRUE(at.has_value());
+    mux.map_dip(dip, *at);
+  }
+  mux.set_vip(vip, {pool[0], pool[1]});
+  ASSERT_TRUE(dips.start());
+  ASSERT_TRUE(mux.start());
+  auto probe = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(probe.has_value());
+  const auto fast_hits = [&] { return mux.worker_stats()[0].fast_hits; };
+  // Probes spaced wider than the drain window, so the slow path's own
+  // bucket touches cannot keep the VIP unsettled.
+  const auto hits_after_probes = [&](std::uint64_t base) {
+    for (int i = 0; i < 40 && fast_hits() == base; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      EXPECT_GE(testutil::probe_until_echo(*probe, mux.listen_endpoint(), vip, 1000.0), 0.0);
+    }
+    return fast_hits() > base;
+  };
+  ASSERT_TRUE(hits_after_probes(0)) << "the stateless VIP was never admitted";
+
+  // A DIP-set change: the rebuild it triggers rejects the VIP as unsettled
+  // while the old version drains; the tick must re-admit it on its own.
+  mux.apply_vip_update(vip, pool);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  testutil::drain_probe(*probe);
+  EXPECT_TRUE(hits_after_probes(fast_hits()))
+      << "the VIP never returned to the fast tier after its DIP change";
+
+  mux.shutdown();
+  mux.join();
+  dips.shutdown();
+  dips.join();
 }
 
 }  // namespace
