@@ -33,8 +33,8 @@
 // a real bug, not machine variance. A below-target pps prints a warning by
 // default (shared CI machines can't promise cycles); DUET_LIVE_STRICT=1
 // makes it exit 1 — the CI perf-smoke leg's acceptance gate. The same holds
-// for an update-lag p50 above DUET_LIVE_UPDATE_LAG_MAX_MS (default 5 ms); a
-// fresh VIP that never echoes within 1 s always fails.
+// for an update-lag p50 above 5 ms; a fresh VIP that never echoes within 1 s
+// always fails.
 //
 // Phase 3 (aggregate): a second deployment — stateless engine so the
 // in-process fast tier serves, pin_cpus workers behind one SO_REUSEPORT
@@ -47,11 +47,8 @@
 //
 // Env knobs: DUET_LIVE_SECONDS, DUET_LIVE_PPS, DUET_LIVE_MIN_PPS,
 // DUET_LIVE_WORKERS, DUET_LIVE_ATTEMPTS, DUET_LIVE_STRICT,
-// DUET_LIVE_UPDATE_LAG_MAX_MS,
 // DUET_LIVE_AGG_{WORKERS,GENS,PPS,MIN_PPS,SECONDS,ATTEMPTS,STRICT},
 // DUET_BENCH_QUICK (halves the phases).
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -64,8 +61,8 @@
 #include "common.h"
 #include "duet/config.h"
 #include "net/hash.h"
-#include "net/wire.h"
 #include "runtime/fake_dip.h"
+#include "runtime/live_probe.h"
 #include "runtime/load_gen.h"
 #include "runtime/mux_server.h"
 #include "util/stats.h"
@@ -83,27 +80,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
-}
-
-// Sends a probe datagram for `vip` through the mux every 0.2 ms until the
-// echo DIP's reply reaches `probe` (whose port is the reply address) or
-// `timeout_ms` passes. Returns false on timeout.
-bool probe_until_echo(const runtime::UdpSocket& probe, runtime::Endpoint mux, Ipv4Address vip,
-                      double timeout_ms) {
-  const FiveTuple tuple{Ipv4Address{10, 99, 0, 1}, vip, probe.local().port, 80, IpProto::kUdp};
-  const auto bytes = serialize_packet(Packet{tuple, 64});
-  const auto start = Clock::now();
-  auto last_send = start;
-  (void)probe.send_to(bytes, mux);
-  std::uint8_t buf[2048];
-  while (ms_since(start) < timeout_ms) {
-    if (::recv(probe.fd(), buf, sizeof(buf), 0) > 0) return true;
-    if (ms_since(last_send) >= 0.2) {
-      last_send = Clock::now();
-      (void)probe.send_to(bytes, mux);
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -199,7 +175,7 @@ int main() {
   // clock starts before the mapping, so it covers both the mux's and the
   // echo pool's wake-up.
   constexpr std::size_t kLagSamples = 50;
-  const double lag_max_ms = env_or("DUET_LIVE_UPDATE_LAG_MAX_MS", 5.0);
+  constexpr double kUpdateLagMaxMs = 5.0;
   auto lag_probe = runtime::UdpSocket::bind(runtime::Endpoint{kLoopback, 0});
   if (!lag_probe.has_value()) {
     std::printf("SKIP: could not bind the update-lag probe socket\n");
@@ -218,16 +194,11 @@ int main() {
     }
     mux.apply_dip_map(dip, *at);
     mux.apply_vip_update(vip, {dip});
-    if (!probe_until_echo(*lag_probe, mux.listen_endpoint(), vip, 1000.0)) {
+    if (runtime::probe_until_echo(*lag_probe, mux.listen_endpoint(), vip, 1000.0, 0.2) < 0.0) {
       ++lag_unanswered;
       continue;
     }
     lag_ms.add(ms_since(t0));
-    // Late echoes of this sample's resends must not answer the next one.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    std::uint8_t buf[2048];
-    while (::recv(lag_probe->fd(), buf, sizeof(buf), 0) > 0) {
-    }
   }
   const double lag_p50 = lag_ms.empty() ? 0.0 : lag_ms.percentile(50);
   const double lag_p99 = lag_ms.empty() ? 0.0 : lag_ms.percentile(99);
@@ -428,7 +399,6 @@ int main() {
   }
   out.gauge("duet.live.update_lag_p50_ms").set(lag_p50);
   out.gauge("duet.live.update_lag_p99_ms").set(lag_p99);
-  out.gauge("duet.live.update_lag_max_ms").set(lag_max_ms);
   out.gauge("duet.live.update_lag_unanswered").set(static_cast<double>(lag_unanswered));
   out.gauge("duet.live.agg_ran").set(agg_ran ? 1.0 : 0.0);
   out.gauge("duet.live.agg_workers").set(static_cast<double>(agg_workers));
@@ -455,12 +425,12 @@ int main() {
     return 1;
   }
   bool failed = false;
-  if (lag_p50 > lag_max_ms) {
+  if (lag_p50 > kUpdateLagMaxMs) {
     std::printf("\n%s: update lag p50 %.3f ms > %.1f ms%s\n", strict ? "FAIL" : "WARNING",
-                lag_p50, lag_max_ms, strict ? "" : " (machine load?)");
+                lag_p50, kUpdateLagMaxMs, strict ? "" : " (machine load?)");
     failed = failed || strict;
   } else {
-    std::printf("\nOK: update lag p50 %.3f ms <= %.1f ms\n", lag_p50, lag_max_ms);
+    std::printf("\nOK: update lag p50 %.3f ms <= %.1f ms\n", lag_p50, kUpdateLagMaxMs);
   }
   if (open.send_pps < min_pps) {
     std::printf("\n%s: sustained %.0f pps < %.0f floor%s\n", strict ? "FAIL" : "WARNING",

@@ -38,8 +38,7 @@ CtlResponse ok(std::string text) { return CtlResponse{0, std::move(text)}; }
 
 }  // namespace
 
-Duetd::Duetd(DuetdOptions options)
-    : opts_(std::move(options)), dips_(runtime::FakeDipPool::Options{.tick_ms = opts_.tick_ms}) {}
+Duetd::Duetd(DuetdOptions options) : opts_(std::move(options)) {}
 
 Duetd::~Duetd() { stop(false); }
 
@@ -84,7 +83,6 @@ bool Duetd::start(std::string* error) {
   mo.workers = opts_.mux_workers == 0 ? 1 : opts_.mux_workers;
   mo.pin_cpus = opts_.pin_cpus;
   mo.fast_tier = opts_.fast_tier;
-  mo.tick_ms = opts_.tick_ms;
   mo.hasher = FlowHasher{opts_.seed};
   mo.vip_aggregate = kVipAggregate;
   mux_ = std::make_unique<runtime::MuxServer>(mo, cfg);

@@ -69,9 +69,6 @@ struct DuetdOptions {
   // In-process hot-VIP fast tier (DESIGN.md §17); on by default, admission
   // is automatic so a stateful deployment is unaffected either way.
   bool fast_tier = true;
-  // Housekeeping tick of the serving workers and the echo pool (see
-  // MuxServerOptions::tick_ms). Live updates never wait for it.
-  int tick_ms = 50;
 };
 
 class Duetd {

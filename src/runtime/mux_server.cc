@@ -73,12 +73,9 @@ struct MuxServer::Worker {
   // Smux replica: settledness is per-replica state, so the table must be
   // built from — and on the serving thread of — the replica it fronts.
   FastTier fast{1};
-  // A change touched an admitted VIP, or added a VIP that can be admitted
-  // at once: the snapshot is rebuilt before the next batch.
-  bool fast_stale = false;
-  // VIPs may be admissible that the snapshot lacks — changed VIPs it did
-  // not hold, or VIPs the last build rejected as unsettled. The tick retries.
-  bool fast_pending = true;
+  // VIP churn since the last snapshot, or VIPs the last build rejected as
+  // unsettled (the tick retries until they settle and are re-admitted).
+  bool fast_dirty = true;
   std::uint64_t fast_seen_seq = 0;  // last rebuild_fast_tier() clock applied
 
   // Lock-free serving counters, this worker the only writer (one cache
@@ -159,15 +156,13 @@ void MuxServer::drain_updates(Worker& worker) {
   }
   for (const PendingUpdate& u : batch) {
     switch (u.kind) {
-      case PendingUpdate::Kind::kSetVip: {
-        const bool fresh = !worker.smux.has_vip(u.vip);
+      case PendingUpdate::Kind::kSetVip:
         worker.smux.set_vip(u.vip, u.dips, u.weights);
-        mark_fast_changed(worker, u.vip, fresh);
+        worker.fast_dirty = true;  // snapshot is stale until re-admitted
         break;
-      }
       case PendingUpdate::Kind::kRemoveVip:
         worker.smux.remove_vip(u.vip);
-        mark_fast_changed(worker, u.vip, false);
+        worker.fast_dirty = true;
         break;
       case PendingUpdate::Kind::kMapDip:
         worker.dip_map.insert(u.dip, u.at);  // post-decision; tier unaffected
@@ -314,31 +309,16 @@ double MuxServer::now_us() const {
       .count();
 }
 
-void MuxServer::mark_fast_changed(Worker& worker, Ipv4Address vip, bool fresh) {
-  // A VIP the snapshot does not hold misses it and is decided by the Smux
-  // replica, so the snapshot stays exact; only admitting it can wait. A
-  // fresh VIP has a single map version and is admitted at once; a changed
-  // one is usually still draining, which the tick retry covers.
-  if (fresh || worker.fast.current()->admits(vip)) {
-    worker.fast_stale = true;
-  } else {
-    worker.fast_pending = true;
-  }
-}
-
-void MuxServer::maybe_rebuild_fast(Worker& worker, double now, bool admit) {
+void MuxServer::maybe_rebuild_fast(Worker& worker, double now) {
   if (!opts_.fast_tier) return;
   const std::uint64_t seq = fast_rebuild_seq_.load(std::memory_order_acquire);
-  if (!worker.fast_stale && !(admit && worker.fast_pending) && seq == worker.fast_seen_seq) {
-    return;
-  }
+  if (!worker.fast_dirty && seq == worker.fast_seen_seq) return;
   worker.fast_seen_seq = seq;
-  worker.fast_stale = false;
   // Between batches: this build never races pump() on this worker (same
   // thread), and the swap protocol covers external readers. A VIP whose old
-  // map version is still draining is rejected as unsettled; staying pending
+  // map version is still draining is rejected as unsettled; staying dirty
   // lets the tick retry until it settles and is re-admitted.
-  worker.fast_pending = worker.fast.rebuild(worker.smux, now).rejected_unsettled > 0;
+  worker.fast_dirty = worker.fast.rebuild(worker.smux, now).rejected_unsettled > 0;
 }
 
 void MuxServer::fold_stats(Worker& worker) {
@@ -378,14 +358,14 @@ void MuxServer::serve(std::size_t index) {
     }
   }
   // First snapshot before any packet, so a stateless deployment serves its
-  // very first batch from the fast tier (a new worker starts pending).
-  maybe_rebuild_fast(worker, now_us(), /*admit=*/true);
+  // very first batch from the fast tier (a new worker starts dirty).
+  maybe_rebuild_fast(worker, now_us());
   worker.loop.add(worker.sock.fd(), [this, &worker] { pump(worker, false); });
   const auto on_tick = [this, &worker] {
     // One clock read per tick; bounded incremental eviction (never a
     // full-table pass on the serving thread).
     const double now = now_us();
-    maybe_rebuild_fast(worker, now, /*admit=*/true);
+    maybe_rebuild_fast(worker, now);
     worker.smux.expire_flows_step(now, opts_.evict_scan_slots);
     fold_stats(worker);
     if (worker.index == 0) maybe_export_stats(now);
@@ -396,7 +376,7 @@ void MuxServer::serve(std::size_t index) {
     // change made wrong is rebuilt in the same call, so no batch is decided
     // by a fast tier older than the Smux replica it fronts.
     drain_updates(worker);
-    maybe_rebuild_fast(worker, now_us(), /*admit=*/false);
+    maybe_rebuild_fast(worker, now_us());
   };
   worker.loop.run(stop_, opts_.tick_ms, on_tick, on_wake);
   // Drain: serve whatever the kernel already queued, then exit. Each pump

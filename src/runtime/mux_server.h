@@ -91,13 +91,11 @@ class MuxServer {
   // Thread-safe VIP/DIP mutation that also works while serving: before
   // start() these behave like set_vip/map_dip; on a running server the
   // change is queued per worker and the worker's loop is woken, which
-  // applies it before that worker serves its next batch — re-snapshotting
-  // the fast tier first when the change touched a VIP it admits or added a
-  // new VIP (a changed VIP it does not hold is admitted by the tick). The
-  // hot path itself never takes a lock (each worker
-  // owns its Smux replica and its own DIP→endpoint map copy). Convergence
-  // latency is one loop wake-up per worker, independent of tick_ms.
-  // duetd drives these from its ops socket.
+  // applies it — and re-snapshots the fast tier after a VIP change — before
+  // that worker serves its next batch. The hot path itself never takes a
+  // lock (each worker owns its Smux replica and its own DIP→endpoint map
+  // copy). Convergence latency is one loop wake-up per worker, independent
+  // of tick_ms. duetd drives these from its ops socket.
   void apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
                         std::vector<std::uint32_t> weights = {});
   void apply_vip_removal(Ipv4Address vip);
@@ -175,14 +173,10 @@ class MuxServer {
   void drain_updates(Worker& worker);
 
   void serve(std::size_t index);
-  // Records a change to `vip` against the worker's fast-tier snapshot:
-  // stale when the snapshot admits the VIP or the VIP is `fresh` (new to
-  // the replica), otherwise pending admission on the tick.
-  void mark_fast_changed(Worker& worker, Ipv4Address vip, bool fresh);
-  // Re-snapshots the worker's fast tier when a change or an explicit
-  // rebuild request made it stale, or — with `admit` (the tick) — when VIPs
-  // are pending admission. Worker thread only (wake and tick callbacks).
-  void maybe_rebuild_fast(Worker& worker, double now, bool admit);
+  // Re-snapshots the worker's fast tier when VIP churn, an explicit rebuild
+  // request or a VIP rejected as unsettled left it dirty. Worker thread
+  // only (wake and tick callbacks).
+  void maybe_rebuild_fast(Worker& worker, double now);
   // Pushes this worker's counter deltas into the shared registry (tick and
   // final drain; never the per-batch path).
   void fold_stats(Worker& worker);

@@ -20,10 +20,10 @@
 
 #include "audit/invariants.h"
 #include "duet/smux.h"
-#include "live_probe.h"
 #include "net/wire.h"
 #include "runtime/event_loop.h"
 #include "runtime/fake_dip.h"
+#include "runtime/live_probe.h"
 #include "runtime/load_gen.h"
 #include "runtime/mux_server.h"
 #include "runtime/stamp.h"
@@ -407,15 +407,15 @@ TEST(MuxServerLive, LiveUpdatesServeWithoutWaitingForTheTick) {
   ASSERT_TRUE(at.has_value());
   mux.apply_dip_map(dip, *at);
   mux.apply_vip_update(vip, {dip});
-  EXPECT_GE(testutil::probe_until_echo(*probe, mux.listen_endpoint(), vip, 1000.0), 0.0)
+  EXPECT_GE(probe_until_echo(*probe, mux.listen_endpoint(), vip, 1000.0), 0.0)
       << "no echo within 1 s of apply_vip_update";
   EXPECT_GT(dips.packets_at(dip), 0u);
 
   // Let stray resends land, then remove the VIP: it must stop echoing.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  testutil::drain_probe(*probe);
+  drain_probe(*probe);
   mux.apply_vip_removal(vip);
-  EXPECT_LT(testutil::probe_until_echo(*probe, mux.listen_endpoint(), vip, 200.0, 20.0), 0.0)
+  EXPECT_LT(probe_until_echo(*probe, mux.listen_endpoint(), vip, 200.0, 20.0), 0.0)
       << "the removed VIP still echoes";
 
   mux.shutdown();
@@ -453,7 +453,7 @@ TEST(MuxServerLive, StatelessVipReturnsToTheFastTierAfterADipChange) {
   const auto hits_after_probes = [&](std::uint64_t base) {
     for (int i = 0; i < 40 && fast_hits() == base; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      EXPECT_GE(testutil::probe_until_echo(*probe, mux.listen_endpoint(), vip, 1000.0), 0.0);
+      EXPECT_GE(probe_until_echo(*probe, mux.listen_endpoint(), vip, 1000.0), 0.0);
     }
     return fast_hits() > base;
   };
@@ -463,7 +463,7 @@ TEST(MuxServerLive, StatelessVipReturnsToTheFastTierAfterADipChange) {
   // while the old version drains; the tick must re-admit it on its own.
   mux.apply_vip_update(vip, pool);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  testutil::drain_probe(*probe);
+  drain_probe(*probe);
   EXPECT_TRUE(hits_after_probes(fast_hits()))
       << "the VIP never returned to the fast tier after its DIP change";
 
