@@ -6,10 +6,13 @@
 //       accounting — the RTT histogram (duet.loadgen.rtt_us) is complete,
 //       so the latency percentiles are trustworthy. Then the update lag on
 //       the same deployment: 50 times, a fresh VIP on a fresh echo DIP is
-//       mapped and pushed with apply_vip_update and probed every 0.2 ms
+//       pushed with one apply_vip_update that carries the DIP's endpoint
+//       (duetd's path: one wake per worker) and probed every 0.2 ms
 //       until its first echo (duet.live.update_lag_p{50,99}_ms) — the live
 //       counterpart of the paper's Fig 14 "time until the new placement
-//       serves";
+//       serves". Each fresh add_dip is timed on its own
+//       (duet.live.add_dip_us_p50): a DIP costs a socket bind, not an I/O
+//       arena;
 //   (2) open loop: paced at DUET_LIVE_PPS (default 400 K) for
 //       DUET_LIVE_SECONDS — the throughput number. The acceptance line is
 //       >= 300 Kpps sustained on loopback with ZERO parse failures (every
@@ -33,8 +36,8 @@
 // a real bug, not machine variance. A below-target pps prints a warning by
 // default (shared CI machines can't promise cycles); DUET_LIVE_STRICT=1
 // makes it exit 1 — the CI perf-smoke leg's acceptance gate. The same holds
-// for an update-lag p50 above 5 ms; a fresh VIP that never echoes within 1 s
-// always fails.
+// for an update-lag p50 above 5 ms and an add_dip p50 above 30 us; a fresh
+// VIP that never echoes within 1 s always fails.
 //
 // Phase 3 (aggregate): a second deployment — stateless engine so the
 // in-process fast tier serves, pin_cpus workers behind one SO_REUSEPORT
@@ -170,30 +173,32 @@ int main() {
   t1.print();
 
   // Update lag on the phase-1 deployment: how long a control change takes
-  // to serve. Each sample binds a fresh echo DIP on the running pool, maps
-  // it, pushes a fresh VIP onto it, and probes until the first echo. The
-  // clock starts before the mapping, so it covers both the mux's and the
-  // echo pool's wake-up.
+  // to serve. Each sample binds a fresh echo DIP on the running pool,
+  // pushes a fresh VIP onto it with the DIP's endpoint in the same update,
+  // as duetd does, and probes until the first echo. The clock starts before
+  // the bind, so it covers both the mux's and the echo pool's wake-up.
   constexpr std::size_t kLagSamples = 50;
   constexpr double kUpdateLagMaxMs = 5.0;
+  constexpr double kAddDipMaxUs = 30.0;
   auto lag_probe = runtime::UdpSocket::bind(runtime::Endpoint{kLoopback, 0});
   if (!lag_probe.has_value()) {
     std::printf("SKIP: could not bind the update-lag probe socket\n");
     return 0;
   }
   Summary lag_ms;
+  Summary add_dip_us;
   std::size_t lag_unanswered = 0;
   for (std::size_t i = 0; i < kLagSamples; ++i) {
     const Ipv4Address vip{100, 200, 0, static_cast<std::uint8_t>(i + 1)};
     const Ipv4Address dip{10, 200, 0, static_cast<std::uint8_t>(i + 1)};
     const auto t0 = Clock::now();
     const auto at = dips.add_dip(dip);
+    add_dip_us.add(ms_since(t0) * 1e3);
     if (!at.has_value()) {
       std::printf("SKIP: could not bind echo DIP sockets\n");
       return 0;
     }
-    mux.apply_dip_map(dip, *at);
-    mux.apply_vip_update(vip, {dip});
+    mux.apply_vip_update(vip, {dip}, {}, {{dip, *at}});
     if (runtime::probe_until_echo(*lag_probe, mux.listen_endpoint(), vip, 1000.0, 0.2) < 0.0) {
       ++lag_unanswered;
       continue;
@@ -202,6 +207,7 @@ int main() {
   }
   const double lag_p50 = lag_ms.empty() ? 0.0 : lag_ms.percentile(50);
   const double lag_p99 = lag_ms.empty() ? 0.0 : lag_ms.percentile(99);
+  const double add_dip_p50 = add_dip_us.percentile(50);
   std::printf("\nupdate lag: %zu fresh VIPs, apply_vip_update to first echo\n", kLagSamples);
   TablePrinter tl{{"metric", "value"}};
   tl.add_row({"answered / pushed",
@@ -209,6 +215,7 @@ int main() {
                   TablePrinter::fmt_int(static_cast<long long>(kLagSamples))});
   tl.add_row({"lag p50 (ms)", TablePrinter::fmt(lag_p50, "%.3f")});
   tl.add_row({"lag p99 (ms)", TablePrinter::fmt(lag_p99, "%.3f")});
+  tl.add_row({"add_dip p50 (us)", TablePrinter::fmt(add_dip_p50, "%.1f")});
   tl.print();
 
   // Phase 2: open-loop throughput, best of up to max_attempts runs (the
@@ -400,6 +407,7 @@ int main() {
   out.gauge("duet.live.update_lag_p50_ms").set(lag_p50);
   out.gauge("duet.live.update_lag_p99_ms").set(lag_p99);
   out.gauge("duet.live.update_lag_unanswered").set(static_cast<double>(lag_unanswered));
+  out.gauge("duet.live.add_dip_us_p50").set(add_dip_p50);
   out.gauge("duet.live.agg_ran").set(agg_ran ? 1.0 : 0.0);
   out.gauge("duet.live.agg_workers").set(static_cast<double>(agg_workers));
   out.gauge("duet.live.agg_generators").set(static_cast<double>(agg_gens));
@@ -431,6 +439,13 @@ int main() {
     failed = failed || strict;
   } else {
     std::printf("\nOK: update lag p50 %.3f ms <= %.1f ms\n", lag_p50, kUpdateLagMaxMs);
+  }
+  if (add_dip_p50 > kAddDipMaxUs) {
+    std::printf("%s: add_dip p50 %.1f us > %.0f us%s\n", strict ? "FAIL" : "WARNING",
+                add_dip_p50, kAddDipMaxUs, strict ? "" : " (machine load?)");
+    failed = failed || strict;
+  } else {
+    std::printf("OK: add_dip p50 %.1f us <= %.0f us\n", add_dip_p50, kAddDipMaxUs);
   }
   if (open.send_pps < min_pps) {
     std::printf("\n%s: sustained %.0f pps < %.0f floor%s\n", strict ? "FAIL" : "WARNING",

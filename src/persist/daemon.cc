@@ -113,7 +113,10 @@ bool Duetd::start(std::string* error) {
     return set_error("ops socket: " + listen_error);
   }
   stop_accept_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this] {
+    runtime::name_this_thread("duet-ops");
+    accept_loop();
+  });
   started_ = true;
   return true;
 }
@@ -144,26 +147,36 @@ double Duetd::next_t_us() {
   return base_clock_us_ + elapsed.count();
 }
 
-bool Duetd::ensure_dip_endpoint(Ipv4Address dip) {
-  if (dip_at_.contains(dip)) return true;
-  const auto at = dips_.add_dip(dip);
-  if (!at.has_value()) {
-    DUET_LOG_WARN << "duetd: failed to bind an echo endpoint for DIP " << dip.to_string();
-    return false;
-  }
-  dip_at_.emplace(dip, *at);
-  mux_->apply_dip_map(dip, *at);
-  return true;
-}
-
 void Duetd::push_vip(Ipv4Address vip) {
   const auto dips = store_->controller().dips_of(vip);
   if (dips.empty()) {
     mux_->apply_vip_removal(vip);
     return;
   }
-  for (const Ipv4Address dip : dips) ensure_dip_endpoint(dip);
-  mux_->apply_vip_update(vip, dips, store_->controller().weights_of(vip));
+  // Bind every DIP the serving path has not seen yet in one call (one echo
+  // pool wake-up), then hand the new endpoints to the mux inside the VIP's
+  // own update (one wake-up per worker): the op costs O(its DIPs), however
+  // many DIPs are already bound.
+  std::vector<Ipv4Address> fresh;
+  for (const Ipv4Address dip : dips) {
+    if (!dip_at_.contains(dip) && std::find(fresh.begin(), fresh.end(), dip) == fresh.end()) {
+      fresh.push_back(dip);
+    }
+  }
+  std::vector<runtime::MuxServer::DipEndpoint> new_endpoints;
+  if (!fresh.empty()) {
+    const auto bound = dips_.add_dips(fresh);
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      if (!bound[i].has_value()) {
+        DUET_LOG_WARN << "duetd: failed to bind an echo endpoint for DIP " << fresh[i].to_string();
+        continue;
+      }
+      dip_at_.emplace(fresh[i], *bound[i]);
+      new_endpoints.push_back({fresh[i], *bound[i]});
+    }
+  }
+  mux_->apply_vip_update(vip, dips, store_->controller().weights_of(vip),
+                         std::move(new_endpoints));
 }
 
 CtlResponse Duetd::apply_checked(Op op, std::string ok_text) {

@@ -107,11 +107,9 @@ class Duetd {
 
  private:
   void accept_loop();
-  // Binds an echo endpoint for `dip` (if not yet bound) and maps it into the
-  // serving path. False on bind failure.
-  bool ensure_dip_endpoint(Ipv4Address dip);
   // Renders the controller's current pool for `vip` into the MuxServer
-  // (update or removal), binding echo endpoints for any new DIPs.
+  // (update or removal), binding echo endpoints for any new DIPs. Wakes the
+  // echo pool at most once and each mux worker once, whatever the DIP count.
   void push_vip(Ipv4Address vip);
   // Journal clock for new ops: monotone continuation of the recovered clock.
   double next_t_us();

@@ -5,46 +5,56 @@
 namespace duet::runtime {
 
 struct FakeDipPool::DipSock {
-  DipSock(Ipv4Address dip_, UdpSocket sock_, std::size_t batch)
-      : dip(dip_), sock(std::move(sock_)), io(batch) {
-    rx.resize(batch);  // fixed-size descriptor array: recv_batch never grows it
-  }
+  DipSock(Ipv4Address dip_, UdpSocket sock_) : dip(dip_), sock(std::move(sock_)) {}
 
   Ipv4Address dip;
   UdpSocket sock;
-  BatchIo io;
-  std::vector<RxPacket> rx;
-  std::vector<TxPacket> tx;
   std::atomic<std::uint64_t> packets{0};
   std::atomic<std::uint64_t> rejects{0};
 };
 
-FakeDipPool::FakeDipPool(Options options) : opts_(options) {}
+FakeDipPool::FakeDipPool(Options options) : opts_(options), io_(options.batch) {
+  rx_.resize(io_.batch());  // fixed-size descriptor array: recv_batch never grows it
+  tx_.reserve(io_.batch());
+}
 
 FakeDipPool::~FakeDipPool() {
   shutdown();
   join();
 }
 
-std::optional<Endpoint> FakeDipPool::add_dip(Ipv4Address dip) {
-  auto sock = UdpSocket::bind(Endpoint{opts_.bind_addr, 0});
-  if (!sock) return std::nullopt;
-  const Endpoint at = sock->local();
-  auto ds = std::make_unique<DipSock>(dip, std::move(*sock), opts_.batch);
+std::vector<std::optional<Endpoint>> FakeDipPool::add_dips(std::span<const Ipv4Address> dips) {
+  std::vector<std::optional<Endpoint>> out;
+  out.reserve(dips.size());
+  std::vector<std::unique_ptr<DipSock>> bound;
+  for (const Ipv4Address dip : dips) {
+    auto sock = UdpSocket::bind(Endpoint{opts_.bind_addr, 0});
+    if (!sock) {
+      out.emplace_back();
+      continue;
+    }
+    out.emplace_back(sock->local());
+    bound.push_back(std::make_unique<DipSock>(dip, std::move(*sock)));
+  }
+  if (bound.empty()) return out;
   if (!running_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(dips_mu_);
-    dips_.push_back(std::move(ds));
+    for (auto& ds : bound) dips_.push_back(std::move(ds));
   } else {
-    // Live add: the socket already accepts (the kernel queues until the
-    // woken serving loop registers it), so the returned endpoint can be
+    // Live add: the sockets already accept (the kernel queues until the
+    // woken serving loop registers them), so the returned endpoints can be
     // mapped immediately.
     {
       std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_.push_back(std::move(ds));
+      for (auto& ds : bound) pending_.push_back(std::move(ds));
     }
     loop_.wake();
   }
-  return at;
+  return out;
+}
+
+std::optional<Endpoint> FakeDipPool::add_dip(Ipv4Address dip) {
+  return add_dips(std::span<const Ipv4Address>(&dip, 1)).front();
 }
 
 void FakeDipPool::drain_pending() {
@@ -73,8 +83,10 @@ bool FakeDipPool::start() {
     }
   }
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread(
-      [this] { loop_.run(stop_, opts_.tick_ms, nullptr, [this] { drain_pending(); }); });
+  thread_ = std::thread([this] {
+    name_this_thread("duet-echo");
+    loop_.run(stop_, opts_.tick_ms, nullptr, [this] { drain_pending(); });
+  });
   return true;
 }
 
@@ -113,11 +125,11 @@ std::uint64_t FakeDipPool::total_packets() const {
 
 void FakeDipPool::pump(DipSock& ds) {
   for (;;) {
-    const std::size_t n = ds.io.recv_batch(ds.sock.fd(), ds.rx);
+    const std::size_t n = io_.recv_batch(ds.sock.fd(), rx_);
     if (n == 0) break;
-    ds.tx.clear();
+    tx_.clear();
     std::uint64_t rejects = 0;
-    for (const RxPacket& p : std::span<const RxPacket>(ds.rx.data(), n)) {
+    for (const RxPacket& p : std::span<const RxPacket>(rx_.data(), n)) {
       // Only properly encapsulated datagrams addressed to THIS DIP echo;
       // anything else (stray traffic, un-tunneled packets) is rejected, so a
       // mux bug that skips encap shows up as rejects, not silent success.
@@ -128,13 +140,15 @@ void FakeDipPool::pump(DipSock& ds) {
         continue;
       }
       const auto inner = p.bytes.subspan(kIpv4HeaderBytes);  // decap: drop the outer header
-      ds.tx.push_back(TxPacket{inner.data(), inner.size(),
-                               Endpoint{opts_.reply_addr, peek->inner_src_port}});
+      tx_.push_back(TxPacket{inner.data(), inner.size(),
+                             Endpoint{opts_.reply_addr, peek->inner_src_port}});
     }
     ds.packets.fetch_add(n, std::memory_order_relaxed);
     if (rejects > 0) ds.rejects.fetch_add(rejects, std::memory_order_relaxed);
-    ds.io.send_batch(ds.sock.fd(), ds.tx, 5);
-    if (n < ds.io.batch()) break;
+    // The batch leaves through THIS DIP's socket, so each echo's source
+    // endpoint still names the DIP that served it.
+    io_.send_batch(ds.sock.fd(), tx_, 5);
+    if (n < io_.batch()) break;
   }
 }
 

@@ -1,7 +1,7 @@
 // Echo endpoints standing in for real DIP servers.
 //
 // Each DIP gets its own loopback UDP socket (one real endpoint per simulated
-// backend). An arriving IP-in-IP datagram is validated with parse_packet,
+// backend). An arriving IP-in-IP datagram is validated with peek_encap,
 // decapsulated by dropping the outer 20 bytes — the nested total-length
 // chain stays valid, so the inner datagram is byte-for-byte what the client
 // originally sent — and echoed to (reply_addr, inner src_port).
@@ -10,6 +10,12 @@
 // and because every DIP answers from its own socket, the reply's kernel
 // source endpoint tells the load generator exactly which DIP served the
 // flow — the observable the sim/live equivalence test keys on.
+//
+// Memory: one pool thread serves every socket, and it finishes one socket's
+// batch before it reads the next, so the pool owns ONE BatchIo arena and
+// one rx/tx scratch shared by all of its sockets. A DIP costs a socket and
+// two counters, not an I/O arena: adding one is a bind, not a 132 KB
+// zero-fill.
 #pragma once
 
 #include <atomic>
@@ -17,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -41,11 +48,14 @@ class FakeDipPool {
   FakeDipPool(const FakeDipPool&) = delete;
   FakeDipPool& operator=(const FakeDipPool&) = delete;
 
-  // Binds an echo socket for `dip`; returns the real endpoint to hand to
-  // MuxServer::map_dip, or nullopt on bind failure. Works before start() and
-  // on a RUNNING pool: a live add is bound immediately (the endpoint is
-  // valid at once) and registered by the serving loop as soon as add_dip
-  // wakes it — duetd's `duetctl add-dip` path.
+  // Binds an echo socket for each of `dips`; returns their real endpoints in
+  // order (to hand to MuxServer::map_dip), nullopt where a bind failed.
+  // Works before start() and on a RUNNING pool: a live add is bound
+  // immediately (the endpoint is valid at once) and registered by the
+  // serving loop, which the call wakes once — and only when it queued a
+  // socket. duetd binds one control op's fresh DIPs with one call.
+  std::vector<std::optional<Endpoint>> add_dips(std::span<const Ipv4Address> dips);
+  // One-DIP add_dips.
   std::optional<Endpoint> add_dip(Ipv4Address dip);
 
   bool start();
@@ -59,12 +69,18 @@ class FakeDipPool {
 
  private:
   struct DipSock;
+  // Echoes one socket's queued datagrams through the shared arena. Pool
+  // thread only.
   void pump(DipSock& ds);
   // Registers queued live adds with the loop. Runs on the pool thread (wake
   // callback).
   void drain_pending();
 
   Options opts_;
+  // The shared I/O arena and scratch (see the header comment).
+  BatchIo io_;
+  std::vector<RxPacket> rx_;
+  std::vector<TxPacket> tx_;
   mutable std::mutex dips_mu_;  // guards dips_ against drain_pending's appends
   std::vector<std::unique_ptr<DipSock>> dips_;
   std::mutex pending_mu_;

@@ -35,8 +35,7 @@ struct MuxServer::PendingUpdate {
   Ipv4Address vip;
   std::vector<Ipv4Address> dips;
   std::vector<std::uint32_t> weights;
-  Ipv4Address dip;
-  Endpoint at;
+  std::vector<DipEndpoint> maps;  // applied first, whatever the kind
 };
 
 struct MuxServer::Worker {
@@ -84,7 +83,7 @@ struct MuxServer::Worker {
   struct alignas(64) HotStats {
     StatCell rx_packets, rx_bytes, tx_packets, tx_bytes, rx_batches;
     StatCell parse_failures, unmapped_dip, tx_drops;
-    StatCell fast_hits, fast_misses;
+    StatCell fast_hits, fast_misses, wakes;
   } stats;
   // Registry-fold bookkeeping (worker thread only): what has already been
   // pushed into the shared counters.
@@ -155,6 +154,8 @@ void MuxServer::drain_updates(Worker& worker) {
     batch.swap(worker.pending);
   }
   for (const PendingUpdate& u : batch) {
+    // Endpoints are post-decision state; the fast tier is unaffected.
+    for (const DipEndpoint& m : u.maps) worker.dip_map.insert(m.dip, m.at);
     switch (u.kind) {
       case PendingUpdate::Kind::kSetVip:
         worker.smux.set_vip(u.vip, u.dips, u.weights);
@@ -165,7 +166,6 @@ void MuxServer::drain_updates(Worker& worker) {
         worker.fast_dirty = true;
         break;
       case PendingUpdate::Kind::kMapDip:
-        worker.dip_map.insert(u.dip, u.at);  // post-decision; tier unaffected
         break;
     }
   }
@@ -177,9 +177,11 @@ void MuxServer::rebuild_fast_tier() {
 }
 
 void MuxServer::apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
-                                 std::vector<std::uint32_t> weights) {
+                                 std::vector<std::uint32_t> weights,
+                                 std::vector<DipEndpoint> new_endpoints) {
   {
     std::lock_guard<std::mutex> lock(config_mu_);
+    for (const DipEndpoint& m : new_endpoints) dip_map_.insert(m.dip, m.at);
     bool found = false;
     for (VipRecord& rec : vips_) {
       if (rec.vip == vip) {
@@ -197,6 +199,7 @@ void MuxServer::apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
   u.vip = vip;
   u.dips = std::move(dips);
   u.weights = std::move(weights);
+  u.maps = std::move(new_endpoints);
   enqueue_update(u);
 }
 
@@ -225,8 +228,7 @@ void MuxServer::apply_dip_map(Ipv4Address dip, Endpoint at) {
   if (!running()) return;
   PendingUpdate u;
   u.kind = PendingUpdate::Kind::kMapDip;
-  u.dip = dip;
-  u.at = at;
+  u.maps.push_back(DipEndpoint{dip, at});
   enqueue_update(u);
 }
 
@@ -350,6 +352,9 @@ void MuxServer::fold_stats(Worker& worker) {
 
 void MuxServer::serve(std::size_t index) {
   Worker& worker = *workers_[index];
+  std::string thread_name = "duet-mux-";
+  thread_name += std::to_string(index);
+  name_this_thread(thread_name.c_str());
   if (opts_.pin_cpus) {
     // Best-effort: a refused pin (non-Linux, sandboxed cpuset) serves
     // unpinned — the fallback ISSUE'd for restricted environments.
@@ -375,6 +380,7 @@ void MuxServer::serve(std::size_t index) {
     // woken round's batches — no lock on the packet path. A snapshot that a
     // change made wrong is rebuilt in the same call, so no batch is decided
     // by a fast tier older than the Smux replica it fronts.
+    worker.stats.wakes.add(1);
     drain_updates(worker);
     maybe_rebuild_fast(worker, now_us());
   };
@@ -527,6 +533,7 @@ std::vector<MuxServer::WorkerStatsSnapshot> MuxServer::worker_stats() const {
     w.fast_hits = s.fast_hits.get();
     w.fast_misses = s.fast_misses.get();
     w.fast_rebuilds = worker->fast.rebuilds();
+    w.wakes = s.wakes.get();
     out.push_back(w);
   }
   return out;

@@ -89,15 +89,24 @@ class MuxServer {
 
   // --- live reconfiguration ---------------------------------------------------
   // Thread-safe VIP/DIP mutation that also works while serving: before
-  // start() these behave like set_vip/map_dip; on a running server the
-  // change is queued per worker and the worker's loop is woken, which
-  // applies it — and re-snapshots the fast tier after a VIP change — before
-  // that worker serves its next batch. The hot path itself never takes a
-  // lock (each worker owns its Smux replica and its own DIP→endpoint map
-  // copy). Convergence latency is one loop wake-up per worker, independent
-  // of tick_ms. duetd drives these from its ops socket.
+  // start() these behave like set_vip/map_dip; on a running server each
+  // call queues ONE entry per worker and wakes each worker's loop once,
+  // which applies it — and re-snapshots the fast tier after a VIP change —
+  // before that worker serves its next batch. The hot path itself never
+  // takes a lock (each worker owns its Smux replica and its own
+  // DIP→endpoint map copy). Convergence latency is one loop wake-up per
+  // worker, independent of tick_ms. duetd drives these from its ops socket.
+  //
+  // `new_endpoints` maps the update's fresh DIPs (like apply_dip_map) in
+  // the same queue entry, so one control op costs each worker one wake
+  // however many DIPs it brings.
+  struct DipEndpoint {
+    Ipv4Address dip;
+    Endpoint at;
+  };
   void apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
-                        std::vector<std::uint32_t> weights = {});
+                        std::vector<std::uint32_t> weights = {},
+                        std::vector<DipEndpoint> new_endpoints = {});
   void apply_vip_removal(Ipv4Address vip);
   void apply_dip_map(Ipv4Address dip, Endpoint at);
   // Requests a fast-tier re-snapshot on every worker (applied when the
@@ -148,6 +157,7 @@ class MuxServer {
     std::uint64_t fast_hits = 0;
     std::uint64_t fast_misses = 0;
     std::uint64_t fast_rebuilds = 0;
+    std::uint64_t wakes = 0;  // loop wake-ups served (on_wake calls)
   };
   std::vector<WorkerStatsSnapshot> worker_stats() const;
 
@@ -166,7 +176,7 @@ class MuxServer {
     std::vector<std::uint32_t> weights;
   };
 
-  // Queues one update on every worker and wakes their loops.
+  // Queues one update on every worker and wakes each worker's loop once.
   void enqueue_update(const PendingUpdate& update);
   // Applies queued updates to this worker's Smux replica + DIP map. Runs on
   // the worker thread (wake callback), so it never races process_batch.

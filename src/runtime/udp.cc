@@ -52,6 +52,14 @@ bool pin_thread_to_cpu(std::size_t cpu) noexcept {
 #endif
 }
 
+void name_this_thread(const char* name) noexcept {
+#if defined(__linux__)
+  (void)pthread_setname_np(pthread_self(), name);
+#else
+  (void)name;
+#endif
+}
+
 namespace {
 
 sockaddr_in to_sockaddr(Endpoint e) {

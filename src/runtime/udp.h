@@ -40,6 +40,12 @@ extern const bool kBatchIoAvailable;
 bool pin_thread_to_cpu(std::size_t cpu) noexcept;
 std::size_t online_cpus() noexcept;
 
+// Names the CALLING thread (Linux: pthread_setname_np, at most 15
+// characters, shown in /proc/self/task/*/comm, top -H and gdb) so a
+// per-thread CPU split can tell the mux workers (duet-mux-N), the echo pool
+// (duet-echo) and duetd's ops thread (duet-ops) apart. A no-op elsewhere.
+void name_this_thread(const char* name) noexcept;
+
 // A real (kernel-routable) UDP endpoint. Distinct from the SIMULATED
 // addresses inside the wire format: the runtime maps simulated DIP/client
 // addresses onto loopback endpoints (see MuxServer::map_dip).

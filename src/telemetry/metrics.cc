@@ -51,13 +51,15 @@ void Histogram::record_n(double x, std::uint64_t n) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
   counts_[idx].fetch_add(n, std::memory_order_relaxed);
-  count_.fetch_add(n, std::memory_order_relaxed);
   atomic_add(sum_, x * static_cast<double>(n));
   // min_/max_ start at ±inf, so the first record is just another CAS
   // tighten — no "first sample" store that a racing second thread at
   // count 0 could clobber with a worse extremum.
   atomic_min(min_, x);
   atomic_max(max_, x);
+  // Published last, with release: a reader whose acquire load of count_
+  // sees this sample also sees the extrema tightened around it.
+  count_.fetch_add(n, std::memory_order_release);
 }
 
 double Histogram::sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
@@ -104,10 +106,10 @@ void Histogram::merge(const Histogram& other) {
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i].fetch_add(other.bucket(i), std::memory_order_relaxed);
   }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
   atomic_add(sum_, other.sum());
   atomic_min(min_, other.min());
   atomic_max(max_, other.max());
+  count_.fetch_add(other.count(), std::memory_order_release);  // last, as in record_n
 }
 
 std::vector<double> Histogram::linear_bounds(double lo, double hi, std::size_t n) {

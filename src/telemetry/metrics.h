@@ -20,17 +20,21 @@
 // metric once (mutex-guarded slow path), then hammer the returned object
 // from the hot loop with no further registry involvement.
 //
-// Memory-ordering contract: every atomic here uses memory_order_relaxed.
-// That means each individual metric read is coherent (no torn values, each
-// load sees *some* recorded value), but a reader observing counter A does
-// NOT thereby observe an earlier write to counter B — metrics carry no
-// happens-before edges. Readers wanting a consistent multi-metric picture
-// must synchronize externally (e.g. join the writer threads first, as the
-// exporters' callers do). Within one Histogram, count()/sum()/min()/max()
-// read at a moment writers may still be mid-record_n: the fields are
-// updated one by one, so transient states where count() is ahead of sum()
-// are expected; min()/max() are always conservative bounds of the recorded
-// samples because they start at ±inf and only ever tighten via CAS.
+// Memory-ordering contract: every atomic here uses memory_order_relaxed,
+// except a Histogram's count (below). Each individual metric read is
+// coherent (no torn values, each load sees *some* recorded value), but a
+// reader observing counter A does NOT thereby observe an earlier write to
+// counter B — metrics carry no happens-before edges between each other.
+// Readers wanting a consistent multi-metric picture must synchronize
+// externally (e.g. join the writer threads first, as the exporters'
+// callers do). Within one Histogram, count()/sum()/min()/max() read at a
+// moment writers may still be mid-record_n: the fields are updated one by
+// one, so transient states where sum() or a bucket is ahead of count() are
+// expected. record_n tightens min/max (which start at ±inf and only ever
+// tighten via CAS) BEFORE it publishes the new count with release, and
+// count() loads with acquire. So once count() has returned n > 0, min()
+// and max() are finite and bound every sample counted in those n; a
+// sample still mid-record_n may already have tightened them further.
 #pragma once
 
 #include <atomic>
@@ -81,7 +85,8 @@ class Histogram {
   void record(double x) noexcept;
   void record_n(double x, std::uint64_t n) noexcept;
 
-  std::uint64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }
+  // Acquire: pairs with record_n's release, see the ordering contract.
+  std::uint64_t count() const noexcept { return count_.load(std::memory_order_acquire); }
   bool empty() const noexcept { return count() == 0; }
   double sum() const noexcept;
   double mean() const;
@@ -111,7 +116,7 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   // Start at ±inf and only tighten (CAS), so concurrent first records can't
-  // lose an extremum; meaningful once count_ > 0 (min()/max() check).
+  // lose an extremum; finite once count() > 0 (min()/max() check).
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };

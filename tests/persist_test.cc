@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -962,6 +963,65 @@ TEST(PersistDaemon, AddVipServesWithoutWaitingForTheTick) {
                                       200.0, 20.0),
             0.0)
       << "the removed VIP still echoes";
+  daemon.stop(/*snapshot=*/false);
+}
+
+TEST(PersistDaemon, AddVipWithFreshDipsWakesEachWorkerOnce) {
+  auto probe = runtime::UdpSocket::bind(runtime::Endpoint{Ipv4Address{127, 0, 0, 1}, 0});
+  if (!probe.has_value()) GTEST_SKIP() << "no loopback UDP sockets in this sandbox";
+  TempDir dir;
+  DuetdOptions opts;
+  opts.data_dir = dir.path();
+  opts.port = 0;
+  opts.mux_workers = 2;
+  Duetd daemon{opts};
+  std::string error;
+  if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
+  const auto wakes = [&daemon] {
+    std::vector<std::uint64_t> out;
+    for (const auto& w : daemon.mux().worker_stats()) out.push_back(w.wakes);
+    return out;
+  };
+
+  // One add-vip bringing 8 DIPs the serving path has never seen: their echo
+  // endpoints ride in the VIP's own update, so each worker is woken once
+  // for the op, not once per DIP plus once for the VIP.
+  const auto before = wakes();
+  std::vector<std::string> argv{"add-vip", "100.0.4.1"};
+  for (int i = 1; i <= 8; ++i) argv.push_back("10.0.4." + std::to_string(i));
+  ASSERT_TRUE(daemon.handle(argv).ok());
+  ASSERT_GE(runtime::probe_until_echo(*probe, daemon.listen_endpoint(),
+                                      Ipv4Address{100, 0, 4, 1}, 1000.0),
+            0.0)
+      << "the VIP never echoed";
+  // The probe reached one worker; wait until every worker has been woken,
+  // then give a straggling extra wake-up time to land.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  for (auto now = wakes(); std::chrono::steady_clock::now() < deadline; now = wakes()) {
+    bool all = true;
+    for (std::size_t i = 0; i < now.size(); ++i) all = all && now[i] > before[i];
+    if (all) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto after = wakes();
+  ASSERT_EQ(after.size(), 2u);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], 1u) << "worker " << i << " wake-ups for one add-vip";
+  }
+
+#if defined(__linux__)
+  // Every serving-side thread carries its name, for per-thread CPU splits.
+  std::multiset<std::string> names;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.insert(name);
+  }
+  for (const char* name : {"duet-mux-0", "duet-mux-1", "duet-echo", "duet-ops"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
+#endif
   daemon.stop(/*snapshot=*/false);
 }
 

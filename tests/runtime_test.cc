@@ -10,10 +10,13 @@
 // Every test binds only loopback sockets on kernel-assigned ports; if even
 // that is unavailable (sandboxed build hosts), the tests skip.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -471,6 +474,86 @@ TEST(MuxServerLive, StatelessVipReturnsToTheFastTierAfterADipChange) {
   mux.join();
   dips.shutdown();
   dips.join();
+}
+
+// --- FakeDipPool ---------------------------------------------------------------------
+
+// Resident set size in bytes, or -1 where /proc/self/statm is unavailable.
+long resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return -1;
+  long pages = 0;
+  long resident = 0;
+  const int got = std::fscanf(f, "%ld %ld", &pages, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * ::sysconf(_SC_PAGESIZE) : -1;
+}
+
+TEST(FakeDipPool, ManyLiveDipsShareOneArena) {
+  REQUIRE_LOOPBACK();
+  // As many echo DIPs as duetbench's 64x8 workloads, added to a RUNNING
+  // pool. A per-DIP 64 x 2 KB I/O arena would cost ~68 MB here; the pool's
+  // one shared arena costs nothing per DIP.
+  constexpr std::size_t kDips = 512;
+  constexpr long kMaxGrowthBytes = 8L << 20;
+  FakeDipPool dips;
+  ASSERT_TRUE(dips.start());
+  auto client = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(client.has_value());
+
+  std::vector<Ipv4Address> addrs;
+  std::vector<Endpoint> ats;
+  const long rss_before = resident_bytes();
+  for (std::size_t i = 0; i < kDips; ++i) {
+    addrs.emplace_back(static_cast<std::uint32_t>((10u << 24) + (50u << 16) + i + 1));
+    const auto at = dips.add_dip(addrs.back());
+    ASSERT_TRUE(at.has_value()) << "bind failed at DIP " << i;
+    ats.push_back(*at);
+  }
+  const long rss_after = resident_bytes();
+  if (rss_before >= 0 && rss_after >= 0) {
+    EXPECT_LT(rss_after - rss_before, kMaxGrowthBytes)
+        << "RSS grew " << (rss_after - rss_before) / 1024 << " KB for " << kDips << " DIPs";
+  }
+
+  // One encapsulated datagram per DIP. The inner source address carries the
+  // DIP's index, so each echo names the DIP it was sent to.
+  for (std::size_t i = 0; i < kDips; ++i) {
+    const FiveTuple t{Ipv4Address{static_cast<std::uint32_t>((10u << 24) + (60u << 16) + i)},
+                      Ipv4Address{100, 0, 9, 1}, client->local().port, 80, IpProto::kUdp};
+    const auto inner = serialize_packet(Packet{t, 64});
+    std::vector<std::uint8_t> wire(inner.size() + kIpv4HeaderBytes);
+    ASSERT_EQ(encapsulate_on_wire(inner, EncapHeader{Ipv4Address{192, 0, 2, 100}, addrs[i]}, wire),
+              wire.size());
+    ASSERT_TRUE(client->send_to(wire, ats[i]));
+  }
+  BatchIo io(64);
+  std::vector<RxPacket> rx(io.batch());
+  std::vector<int> echoes(kDips, 0);
+  std::size_t received = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (received < kDips && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{client->fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    const std::size_t n = io.recv_batch(client->fd(), rx);
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto echo = parse_packet(rx[k].bytes);
+      ASSERT_TRUE(echo.has_value()) << "an echo did not parse";
+      const std::size_t i = echo->tuple().src.value() - ((10u << 24) + (60u << 16));
+      ASSERT_LT(i, kDips);
+      EXPECT_EQ(rx[k].from, ats[i]) << "DIP " << i << " answered from another endpoint";
+      ++echoes[i];
+      ++received;
+    }
+  }
+  EXPECT_EQ(received, kDips);
+  dips.shutdown();
+  dips.join();
+  for (std::size_t i = 0; i < kDips; ++i) {
+    EXPECT_EQ(echoes[i], 1) << "DIP " << i;
+    EXPECT_EQ(dips.packets_at(addrs[i]), 1u) << "DIP " << i;
+    EXPECT_EQ(dips.rejects_at(addrs[i]), 0u) << "DIP " << i;
+  }
 }
 
 }  // namespace
