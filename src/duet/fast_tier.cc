@@ -25,10 +25,10 @@ std::size_t next_pow2(std::size_t v) {
 }  // namespace
 
 std::size_t FastTierTable::build(const std::vector<Entry>& entries) {
-  dips_.clear();
-  admitted_.clear();
-  vip_count_ = 0;
   if (entries.empty()) {
+    pinned_.clear();
+    admitted_.clear();
+    dip_slots_ = 0;
     slots_.assign(1, Slot{});
     slot_mask_ = 0;
     return 0;
@@ -39,8 +39,9 @@ std::size_t FastTierTable::build(const std::vector<Entry>& entries) {
        size <<= 1) {
     slots_.assign(size, Slot{});
     slot_mask_ = size - 1;
-    dips_.clear();
+    pinned_.clear();
     admitted_.clear();
+    dip_slots_ = 0;
     dropped = 0;
     for (const Entry& e : entries) {
       Slot& s = slots_[slot_probe(e.vip) & slot_mask_];
@@ -50,15 +51,15 @@ std::size_t FastTierTable::build(const std::vector<Entry>& entries) {
       }
       s.vip = e.vip;
       s.mask = e.mask;
-      s.offset = static_cast<std::uint32_t>(dips_.size());
-      s.epoch = e.epoch;
       s.salt = e.salt;
-      dips_.insert(dips_.end(), e.owner->begin(), e.owner->end());
+      s.dips = e.owner->data();
+      s.epoch = e.epoch;
+      pinned_.push_back(e.owner);  // keeps s.dips valid for this table's life
       admitted_.push_back(e.vip);
+      dip_slots_ += e.owner->size();
     }
     if (dropped == 0 || size >= kMaxSlots) break;
   }
-  vip_count_ = admitted_.size();
   return dropped;
 }
 
@@ -95,6 +96,7 @@ FastTier::RebuildStats FastTier::install(const std::vector<FastTierTable::Entry>
 FastTier::RebuildStats FastTier::rebuild(Smux& smux, double now_us) {
   RebuildStats out;
   stateless::StatelessEngine* engine = smux.stateless_engine();
+  const FastTierTable& prev = *current_.load(std::memory_order_acquire);
 
   // VIPs carrying (vip, port) ACL rules are never admitted: the fast tier
   // resolves pools by destination address alone.
@@ -102,19 +104,6 @@ FastTier::RebuildStats FastTier::rebuild(Smux& smux, double now_us) {
   smux.for_each_port_rule([&](std::uint64_t pool_id, const VipPool&) {
     port_vips.push_back(static_cast<std::uint32_t>(pool_id >> 16));
   });
-
-  // Traffic served by the fast tier never touched the map's drain clock, so
-  // after churn every bucket of a previously admitted pool must be presumed
-  // live as of now — otherwise a stale last-seen would let a bucket adopt a
-  // new version under a connection the fast tier was still serving (PCC).
-  // While the pool stays settled this is a no-op (nothing is draining).
-  if (engine != nullptr) {
-    for (const std::uint32_t vip :
-         current_.load(std::memory_order_acquire)->admitted()) {
-      auto* map = engine->mutable_pool_map(vip_pool_id(Ipv4Address{vip}));
-      if (map != nullptr) map->mark_all_seen(now_us);
-    }
-  }
 
   std::vector<FastTierTable::Entry> entries;
   smux.for_each_vip([&](Ipv4Address vip, const VipPool&) {
@@ -131,6 +120,12 @@ FastTier::RebuildStats FastTier::rebuild(Smux& smux, double now_us) {
       ++out.rejected_unsettled;
       return;
     }
+    // Traffic served by the fast tier never touched the map's drain clock,
+    // so a pool it was serving that has since been re-colored must presume
+    // every bucket live as of now — otherwise a stale last-seen would let a
+    // bucket adopt the new version under a connection the fast tier was
+    // still serving (PCC).
+    if (!map->settled() && prev.admits(vip)) map->mark_all_seen(now_us);
     // Flip buckets whose drain already expired, so an idle pool re-settles
     // here instead of waiting for one packet per bucket.
     map->adopt_drained(now_us);
@@ -138,16 +133,28 @@ FastTier::RebuildStats FastTier::rebuild(Smux& smux, double now_us) {
       ++out.rejected_unsettled;  // draining: decisions still time-dependent
       return;
     }
-    const stateless::MapVersion* newest = map->version(map->newest_epoch());
-    entries.push_back(FastTierTable::Entry{
-        vip.value(), map->salt(), static_cast<std::uint32_t>(map->bucket_mask()),
-        map->newest_epoch(), &newest->owner});
+    entries.push_back(FastTierTable::Entry{vip.value(), map->salt(),
+                                           static_cast<std::uint32_t>(map->bucket_mask()),
+                                           map->newest_epoch(), map->newest_owner()});
   });
 
   const RebuildStats installed = install(entries);
   out.admitted = installed.admitted;
   out.rejected_collision = installed.rejected_collision;
   out.dip_slots = installed.dip_slots;
+
+  // The same presumption for every other pool this build drops (a new port
+  // rule, an engine switch, a slot collision): the map decides its flows
+  // from now on. `prev` is the retired buffer; only the next rebuild (this
+  // thread) overwrites it.
+  if (engine != nullptr) {
+    const FastTierTable& next = *current_.load(std::memory_order_acquire);
+    for (const std::uint32_t vip : prev.admitted()) {
+      if (next.admits(Ipv4Address{vip})) continue;
+      auto* map = engine->mutable_pool_map(vip_pool_id(Ipv4Address{vip}));
+      if (map != nullptr) map->mark_all_seen(now_us);
+    }
+  }
   return out;
 }
 

@@ -5,11 +5,13 @@
 // and it absorbs the hot aggregate while SMuxes keep the generality (§3,
 // Fig 5). This is that split reproduced inside one box. A FastTierTable is
 // a read-only flat snapshot of the HOT VIPs — one direct-mapped slot array
-// from VIP to (salt, mask, offset) and one contiguous DIP slab holding every
-// admitted pool's resolved bucket coloring — and the serving loop consults
-// it per batch BEFORE Smux::process_batch. A hit is two dependent array
-// reads (slot, then bucket) plus two mix64 rounds; a miss falls through to
-// the full pipeline unchanged.
+// from VIP to (salt, mask, bucket coloring) — and the serving loop consults
+// it per batch BEFORE Smux::process_batch. A slot points straight at the
+// admitted map version's own bucket array, which the table keeps alive by
+// holding that version's shared_ptr (version pinning): the snapshot copies
+// no coloring, so a rebuild costs O(1) per unchanged VIP. A hit is two
+// dependent array reads (slot, then bucket) plus two mix64 rounds; a miss
+// falls through to the full pipeline unchanged.
 //
 // Admission (the miss taxonomy — what stays cold):
 //   * VIPs deciding through the STATEFUL engine: their decisions depend on
@@ -27,24 +29,28 @@
 // For an ADMITTED VIP the map is settled — every bucket stamp references the
 // newest version — so VersionedPoolMap::lookup degenerates to the pure
 // expression `newest.owner[mix64(flow_hash ^ salt) & mask]`. The table
-// copies exactly those three inputs, which makes hits bit-identical to the
-// stateless engine's decision by construction (tests/fast_tier_test.cc
-// twin-drives 1000 epochs of churn to prove it).
+// holds exactly those three inputs (the coloring by reference), which makes
+// hits bit-identical to the stateless engine's decision by construction
+// (tests/fast_tier_test.cc twin-drives 1000 epochs of churn to prove it).
+// A version the map later retires stays alive while a table still pins it;
+// the worker rebuilds the table in the same wake that changed the map, so
+// no batch is decided from a superseded coloring.
 //
 // Concurrency (the rebuild/swap protocol): a FastTier owns two table
 // buffers and an atomic `current` pointer. Readers register once (a slot
 // index) and per batch publish the table they read through a per-reader
 // hazard slot — acquire() is an acquire-load plus one uncontended store and
 // a re-check; no locks, no allocation, no CAS. rebuild() runs off the
-// serving path (worker wake-up or tick / controller epoch): it re-snapshots the Smux
-// into the spare buffer, swaps `current`, then spins until no reader still
-// holds the retired buffer, which makes that buffer the next rebuild's
-// spare. Lookup and acquire/release are DUET_HOT purity roots enforced by
-// tools/hotcheck.
+// serving path (worker wake-up or tick / controller epoch): it re-snapshots
+// the Smux into the spare buffer, swaps `current`, then spins until no
+// reader still holds the retired buffer, which makes that buffer the next
+// rebuild's spare. Lookup and acquire/release are DUET_HOT purity roots
+// enforced by tools/hotcheck.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/ip.h"
@@ -55,18 +61,19 @@ namespace duet {
 
 class Smux;
 
-// One immutable hot-VIP snapshot. Flat storage only: a power-of-two
-// direct-mapped Slot array and one contiguous DIP slab shared by every
-// admitted pool. Never mutated after build; readers need no synchronization
-// beyond the FastTier hazard protocol that bounds its lifetime.
+// One immutable hot-VIP snapshot: a power-of-two direct-mapped Slot array
+// whose slots point into the admitted map versions' bucket arrays, which
+// the table pins (shared ownership) for as long as it holds them. Never
+// mutated after build; readers need no synchronization beyond the FastTier
+// hazard protocol that bounds its lifetime.
 class FastTierTable {
  public:
   struct Slot {
     std::uint32_t vip = 0;     // 0 (0.0.0.0, never a VIP) = empty
     std::uint32_t mask = 0;    // pool bucket mask (bucket_count - 1)
-    std::uint32_t offset = 0;  // pool's first bucket in the dips_ slab
-    std::uint32_t epoch = 0;   // admitted map version (introspection only)
     std::uint64_t salt = 0;    // pool salt (vip_group_salt of the VIP)
+    const Ipv4Address* dips = nullptr;  // admitted version's bucket -> DIP
+    std::uint32_t epoch = 0;   // admitted map version (introspection only)
   };
 
   // The hot path: the DIP the stateless engine would choose for a packet to
@@ -79,12 +86,13 @@ class FastTierTable {
     const Slot& s = slots_[slot_probe(vip_value) & slot_mask_];
     if (s.vip != vip_value) return nullptr;
     const std::size_t b = static_cast<std::size_t>(mix64(flow_hash ^ s.salt)) & s.mask;
-    return &dips_[static_cast<std::size_t>(s.offset) + b];
+    return &s.dips[b];
   }
 
-  bool empty() const noexcept { return vip_count_ == 0; }
-  std::size_t vip_count() const noexcept { return vip_count_; }
-  std::size_t dip_slots() const noexcept { return dips_.size(); }
+  bool empty() const noexcept { return admitted_.empty(); }
+  std::size_t vip_count() const noexcept { return admitted_.size(); }
+  // Buckets across the admitted pools' colorings.
+  std::size_t dip_slots() const noexcept { return dip_slots_; }
   std::size_t slot_count() const noexcept { return slots_.size(); }
   bool admits(Ipv4Address vip) const noexcept {
     const Slot& s = slots_[slot_probe(vip.value()) & slot_mask_];
@@ -94,13 +102,13 @@ class FastTierTable {
   const std::vector<std::uint32_t>& admitted() const noexcept { return admitted_; }
 
   // Builder input: one admitted pool. `owner` (the settled map's newest
-  // bucket coloring) is copied into the slab, not retained.
+  // bucket coloring, mask + 1 entries) is pinned by the table, not copied.
   struct Entry {
     std::uint32_t vip = 0;
     std::uint64_t salt = 0;
     std::uint32_t mask = 0;
     std::uint32_t epoch = 0;
-    const std::vector<Ipv4Address>* owner = nullptr;
+    std::shared_ptr<const std::vector<Ipv4Address>> owner;
   };
 
  private:
@@ -124,10 +132,11 @@ class FastTierTable {
   std::size_t build(const std::vector<Entry>& entries);
 
   std::vector<Slot> slots_{Slot{}};  // power-of-two, never empty (see build)
-  std::vector<Ipv4Address> dips_;
+  // The colorings slots point into, one per admitted VIP (build order).
+  std::vector<std::shared_ptr<const std::vector<Ipv4Address>>> pinned_;
   std::vector<std::uint32_t> admitted_;
   std::size_t slot_mask_ = 0;
-  std::size_t vip_count_ = 0;
+  std::size_t dip_slots_ = 0;
 };
 
 // The double-buffered container: one per worker (its Smux replica is the
@@ -142,7 +151,7 @@ class FastTier {
     std::size_t rejected_port_rule = 0; // VIPs carrying (vip, port) ACL rules
     std::size_t rejected_unsettled = 0; // maps still draining old versions
     std::size_t rejected_collision = 0; // direct-mapped slot collisions
-    std::size_t dip_slots = 0;          // total bucket slab size
+    std::size_t dip_slots = 0;          // buckets across admitted colorings
   };
 
   // `readers` fixes the hazard-slot count; reader ids are [0, readers).
@@ -174,12 +183,15 @@ class FastTier {
   // --- control path -----------------------------------------------------------
   // Re-snapshots the hot-VIP set from `smux` into the spare buffer and
   // swaps it in. Mutates smux's stateless maps on the way in two
-  // PCC-preserving ways: previously admitted pools get every bucket's
-  // last-seen refreshed to `now_us` (traffic served by the fast tier is
-  // invisible to the map's drain clock, so after churn those buckets must
-  // be presumed live), and candidate pools get their expired buckets
-  // adopted (adopt_drained) so an idle pool re-settles without needing a
-  // packet per bucket. Caller serializes rebuilds.
+  // PCC-preserving ways: a previously admitted pool that is now unsettled,
+  // or that this build drops, gets every bucket's last-seen refreshed to
+  // `now_us` (traffic served by the fast tier is invisible to the map's
+  // drain clock, so once the map decides that pool's flows again those
+  // buckets must be presumed live), and candidate pools get their expired
+  // buckets adopted (adopt_drained) so an idle pool re-settles without
+  // needing a packet per bucket. O(1) per unchanged VIP: settled(),
+  // adopt_drained() on a settled map and the pinned coloring are all
+  // constant-time. Caller serializes rebuilds.
   RebuildStats rebuild(Smux& smux, double now_us);
 
   // Swaps in an explicit entry set (tests; also the path rebuild() uses).

@@ -316,6 +316,12 @@ void MuxServer::maybe_rebuild_fast(Worker& worker, double now) {
   const std::uint64_t seq = fast_rebuild_seq_.load(std::memory_order_acquire);
   if (!worker.fast_dirty && seq == worker.fast_seen_seq) return;
   worker.fast_seen_seq = seq;
+  // No stateless engine admits nothing, and an empty table has nothing to
+  // drop: the snapshot would come out empty again (a stateful deployment).
+  if (worker.smux.stateless_engine() == nullptr && worker.fast.current()->empty()) {
+    worker.fast_dirty = false;
+    return;
+  }
   // Between batches: this build never races pump() on this worker (same
   // thread), and the swap protocol covers external readers. A VIP whose old
   // map version is still draining is rejected as unsettled; staying dirty
@@ -570,36 +576,29 @@ void MuxServer::maybe_export_stats(double now) {
     DUET_LOG_INFO << line;
   }
   if (!opts_.stats_json_path.empty()) {
-    // Light interval document straight from the per-worker cells, with one
-    // row per worker (`workers[i].rx/tx/fast_hits`); the full registry dump
-    // still lands at join() via JsonExporter.
-    std::FILE* f = std::fopen(opts_.stats_json_path.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\n  \"source\": \"duetd\",\n  \"t_us\": %.0f,\n"
-                   "  \"rx_pps\": %.0f,\n  \"tx_pps\": %.0f,\n"
-                   "  \"fast_tier_hits\": %llu,\n  \"fast_tier_misses\": %llu,\n"
-                   "  \"fast_tier_rebuilds\": %llu,\n  \"workers\": [\n",
-                   now, static_cast<double>(total.rx_packets - last_rx_) / dt_s,
-                   static_cast<double>(total.tx_packets - last_tx_) / dt_s,
-                   static_cast<unsigned long long>(total.fast_hits),
-                   static_cast<unsigned long long>(total.fast_misses),
-                   static_cast<unsigned long long>(total.fast_rebuilds));
-      for (std::size_t i = 0; i < per_worker.size(); ++i) {
-        const WorkerStatsSnapshot& w = per_worker[i];
-        std::fprintf(f,
-                     "    {\"rx\": %llu, \"tx\": %llu, \"fast_hits\": %llu, "
-                     "\"fast_misses\": %llu, \"tx_drops\": %llu}%s\n",
-                     static_cast<unsigned long long>(w.rx_packets),
-                     static_cast<unsigned long long>(w.tx_packets),
-                     static_cast<unsigned long long>(w.fast_hits),
-                     static_cast<unsigned long long>(w.fast_misses),
-                     static_cast<unsigned long long>(w.tx_drops),
-                     i + 1 < per_worker.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]\n}\n");
-      std::fclose(f);
+    // Light interval document straight from the per-worker cells, in the
+    // exporter schema: totals plus one `interval.w<i>.*` row per worker. It
+    // lives in its own registry, so the shared one is still untouched; the
+    // full registry dump lands at join().
+    telemetry::MetricRegistry doc;
+    doc.gauge("interval.t_us").set(now);
+    doc.gauge("interval.rx_pps").set(static_cast<double>(total.rx_packets - last_rx_) / dt_s);
+    doc.gauge("interval.tx_pps").set(static_cast<double>(total.tx_packets - last_tx_) / dt_s);
+    doc.counter("interval.fast_tier_hits").inc(total.fast_hits);
+    doc.counter("interval.fast_tier_misses").inc(total.fast_misses);
+    doc.counter("interval.fast_tier_rebuilds").inc(total.fast_rebuilds);
+    for (std::size_t i = 0; i < per_worker.size(); ++i) {
+      const WorkerStatsSnapshot& w = per_worker[i];
+      std::string row = "interval.w";
+      row += std::to_string(i);
+      row += '.';
+      doc.counter(row + "rx").inc(w.rx_packets);
+      doc.counter(row + "tx").inc(w.tx_packets);
+      doc.counter(row + "fast_hits").inc(w.fast_hits);
+      doc.counter(row + "fast_misses").inc(w.fast_misses);
+      doc.counter(row + "tx_drops").inc(w.tx_drops);
     }
+    telemetry::JsonExporter::write_file(opts_.stats_json_path, "duetd", &doc, nullptr);
   }
   last_rx_ = total.rx_packets;
   last_tx_ = total.tx_packets;

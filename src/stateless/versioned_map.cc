@@ -140,6 +140,7 @@ bool VersionedPoolMap::rebuild(const VipPool& pool, double now_us, Ipv4Address r
       }
       retire_unreferenced();
     }
+    recount_pinned();  // a regrow or a dead-owner flip changed the stamps
     return false;
   }
 
@@ -154,6 +155,7 @@ bool VersionedPoolMap::rebuild(const VipPool& pool, double now_us, Ipv4Address r
     last_seen_us_.assign(buckets, -std::numeric_limits<double>::infinity());
     versions_.push_back(std::move(next));
     ++stats_.builds;
+    recount_pinned();
     return true;
   }
 
@@ -194,7 +196,20 @@ bool VersionedPoolMap::rebuild(const VipPool& pool, double now_us, Ipv4Address r
     }
   }
   (void)now_us;
+  recount_pinned();
   return true;
+}
+
+void VersionedPoolMap::recount_pinned() noexcept {
+  pinned_ = 0;
+  pinned_seen_floor_us_ = std::numeric_limits<double>::infinity();
+  if (versions_.empty()) return;
+  const std::uint32_t newest = versions_.back()->epoch;
+  for (std::size_t b = 0; b < stamp_.size(); ++b) {
+    if (stamp_[b] == newest) continue;
+    ++pinned_;
+    pinned_seen_floor_us_ = std::min(pinned_seen_floor_us_, last_seen_us_[b]);
+  }
 }
 
 void VersionedPoolMap::retire_unreferenced() {
@@ -223,7 +238,9 @@ void VersionedPoolMap::retire_unreferenced() {
 }
 
 std::size_t VersionedPoolMap::adopt_drained(double now_us) {
-  if (versions_.empty()) return 0;
+  // Every pinned bucket was seen at or after the floor, so while the floor
+  // is inside the drain window none of them can flip.
+  if (pinned_ == 0 || now_us - pinned_seen_floor_us_ < knobs_.drain_idle_us) return 0;
   const std::uint32_t newest = versions_.back()->epoch;
   std::size_t flipped = 0;
   for (std::size_t b = 0; b < stamp_.size(); ++b) {
@@ -235,6 +252,7 @@ std::size_t VersionedPoolMap::adopt_drained(double now_us) {
     }
   }
   if (flipped > 0) retire_unreferenced();
+  recount_pinned();  // tightens the floor to the buckets still held
   return flipped;
 }
 

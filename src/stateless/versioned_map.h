@@ -24,6 +24,12 @@
 //     live flows, so the flip breaks no connection (PCC) — the bucket-
 //     granular analogue of flow-table idle eviction. New flows land on the
 //     newest version everywhere except inside a still-draining bucket.
+//   * The map counts its pinned buckets (stamp != newest epoch) and keeps a
+//     lower bound on their last-seen times (the drain floor). Control-path
+//     mutations recount both; lookup()'s adoption decrements the count. So
+//     settled() is O(1), and adopt_drained() returns at once while no
+//     pinned bucket can have been idle for a full drain window — the fast
+//     tier asks both of every stateless VIP on every snapshot.
 //   * A version is retired only when no bucket stamp references it (the
 //     retirement invariant tests/stateless_test.cc proves), except past the
 //     stateless_max_versions cap, where the oldest pinned version is
@@ -92,9 +98,12 @@ class VersionedPoolMap {
       if (now_us - last_seen_us_[b] >= knobs_.drain_idle_us) {
         stamp_[b] = newest.epoch;  // bucket drained: no live flows to break
         e = newest.epoch;
+        --pinned_;
         ++stats_.adoptions;
       } else {
         ++stats_.held_lookups;  // established flows keep their old version
+        // Keeps the drain floor a lower bound even if time runs backwards.
+        if (now_us < pinned_seen_floor_us_) pinned_seen_floor_us_ = now_us;
       }
     }
     last_seen_us_[b] = now_us;
@@ -125,28 +134,37 @@ class VersionedPoolMap {
   // True when every bucket stamp references the newest version — the state
   // in which lookup() degenerates to the pure expression
   // `newest.owner[mix64(hash ^ salt) & mask]` (no adoption, no held
-  // version). The fast tier's admission predicate (duet/fast_tier.h).
-  bool settled() const noexcept {
-    if (versions_.empty()) return false;
-    const std::uint32_t newest = versions_.back()->epoch;
-    for (const std::uint32_t e : stamp_) {
-      if (e != newest) return false;
-    }
-    return true;
+  // version). The fast tier's admission predicate (duet/fast_tier.h). O(1):
+  // reads the pinned-bucket count.
+  bool settled() const noexcept { return !versions_.empty() && pinned_ == 0; }
+
+  // Buckets whose stamp is not the newest epoch (still draining).
+  std::size_t pinned_buckets() const noexcept { return pinned_; }
+
+  // The newest version's bucket coloring, sharing that version's ownership:
+  // the array stays valid for the holder even after a rebuild retires the
+  // version (the fast tier pins its admitted colorings this way).
+  std::shared_ptr<const std::vector<Ipv4Address>> newest_owner() const {
+    const std::shared_ptr<const MapVersion>& v = versions_.back();
+    return {v, &v->owner};
   }
 
   // Control-path drain sweep: flips every bucket whose drain window already
   // expired to the newest version — exactly the adoption lookup() would
   // perform lazily, done eagerly so an idle pool settles without a packet
-  // per bucket. Returns the buckets flipped (counted as adoptions).
+  // per bucket. Returns the buckets flipped (counted as adoptions). O(1)
+  // while nothing is pinned or the drain floor says no pinned bucket can
+  // have been idle for a full window yet; a bucket scan otherwise.
   std::size_t adopt_drained(double now_us);
 
   // Refreshes every bucket's last-seen to `now_us`, postponing drain by a
-  // full idle window. The fast tier calls this on pools it had admitted:
-  // traffic it absorbed never stamped the map, so after churn every bucket
-  // must be presumed recently active (PCC-conservative).
+  // full idle window. The fast tier calls this on admitted pools it stops
+  // deciding from its snapshot (re-colored or dropped): traffic it absorbed
+  // never stamped the map, so every bucket must be presumed recently active
+  // (PCC-conservative).
   void mark_all_seen(double now_us) noexcept {
     for (double& t : last_seen_us_) t = now_us;
+    pinned_seen_floor_us_ = now_us;
   }
 
   std::uint64_t salt() const noexcept { return salt_; }
@@ -156,6 +174,7 @@ class VersionedPoolMap {
     return static_cast<std::size_t>(mix64(flow_hash ^ salt_)) & mask_;
   }
   std::uint32_t stamp(std::size_t bucket) const noexcept { return stamp_[bucket]; }
+  double last_seen_us(std::size_t bucket) const noexcept { return last_seen_us_[bucket]; }
 
   // Resident decision-state bytes: retained versions + stamps + timestamps.
   std::size_t state_bytes() const noexcept {
@@ -183,6 +202,9 @@ class VersionedPoolMap {
   // The weighted-rendezvous coloring for the pool's live slots.
   std::vector<Ipv4Address> color(const VipPool& pool, std::size_t buckets) const;
   void retire_unreferenced();
+  // Recomputes pinned_ and pinned_seen_floor_us_ from the stamps (control
+  // path: after every mutation that can pin or unpin buckets wholesale).
+  void recount_pinned() noexcept;
 
   std::uint64_t salt_ = 0;
   StatelessKnobs knobs_;
@@ -192,6 +214,14 @@ class VersionedPoolMap {
   std::vector<std::shared_ptr<const MapVersion>> versions_;
   std::vector<std::uint32_t> stamp_;     // bucket -> epoch serving its flows
   std::vector<double> last_seen_us_;     // bucket -> last packet time
+  // Pinned-bucket bookkeeping, so settled() and an early adopt_drained()
+  // need no bucket scan: the count of stamps != newest epoch, and a lower
+  // bound on those buckets' last-seen times (the drain floor). Both stay
+  // valid between recounts: lookup() only ever unpins, and lowers the floor
+  // if it stamps a held bucket earlier than it; mark_all_seen() makes the
+  // floor exact.
+  std::size_t pinned_ = 0;
+  double pinned_seen_floor_us_ = std::numeric_limits<double>::infinity();
   Stats stats_;
 };
 

@@ -476,6 +476,57 @@ TEST(MuxServerLive, StatelessVipReturnsToTheFastTierAfterADipChange) {
   dips.join();
 }
 
+TEST(MuxServerLive, StatefulServerNeverRebuildsAnEmptyFastTier) {
+  REQUIRE_LOOPBACK();
+  // The default (stateful) engine admits nothing, so a VIP change on a
+  // worker whose table is empty must not walk the VIPs or swap a table.
+  FakeDipPool::Options dopts;
+  dopts.tick_ms = kNoTickMs;
+  FakeDipPool dips{dopts};
+  MuxServerOptions mopts;
+  mopts.tick_ms = kNoTickMs;
+  MuxServer mux(mopts, DuetConfig{});
+  ASSERT_TRUE(dips.start());
+  ASSERT_TRUE(mux.start());
+  auto probe = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(probe.has_value());
+
+  constexpr std::uint8_t kVips = 16;
+  std::vector<Ipv4Address> vips;
+  std::vector<Ipv4Address> pool_dips;
+  for (std::uint8_t v = 0; v < kVips; ++v) {
+    vips.push_back(Ipv4Address{100, 0, 9, static_cast<std::uint8_t>(v + 1)});
+    pool_dips.push_back(Ipv4Address{10, 9, 0, static_cast<std::uint8_t>(v + 1)});
+    const auto at = dips.add_dip(pool_dips.back());
+    ASSERT_TRUE(at.has_value());
+    mux.apply_dip_map(pool_dips.back(), *at);
+  }
+  // Boot: the first VIP serves, so the worker has run its first snapshot.
+  mux.apply_vip_update(vips[0], {pool_dips[0]});
+  ASSERT_GE(probe_until_echo(*probe, mux.listen_endpoint(), vips[0], 1000.0), 0.0);
+  const std::uint64_t boot_rebuilds = mux.worker_stats()[0].fast_rebuilds;
+  const std::uint64_t boot_wakes = mux.worker_stats()[0].wakes;
+
+  // New VIPs, then a DIP change on each: 2 * kVips - 1 live updates.
+  for (std::uint8_t v = 1; v < kVips; ++v) mux.apply_vip_update(vips[v], {pool_dips[v]});
+  for (std::uint8_t v = 0; v < kVips; ++v) {
+    mux.apply_vip_update(vips[v], {pool_dips[v], pool_dips[(v + 1) % kVips]});
+  }
+  // The queue is FIFO: once the last VIP's second update serves, all did.
+  drain_probe(*probe);
+  ASSERT_GE(probe_until_echo(*probe, mux.listen_endpoint(), vips[kVips - 1], 1000.0), 0.0);
+
+  const MuxServer::WorkerStatsSnapshot after = mux.worker_stats()[0];
+  EXPECT_GT(after.wakes, boot_wakes) << "the updates never woke the worker";
+  EXPECT_EQ(after.fast_rebuilds, boot_rebuilds)
+      << "a stateful worker re-snapshotted its empty fast tier on a VIP change";
+
+  mux.shutdown();
+  mux.join();
+  dips.shutdown();
+  dips.join();
+}
+
 // --- FakeDipPool ---------------------------------------------------------------------
 
 // Resident set size in bytes, or -1 where /proc/self/statm is unavailable.

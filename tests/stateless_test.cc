@@ -291,6 +291,106 @@ TEST(VersionedMap, MaxVersionsCapForceRetires) {
   EXPECT_GT(map.stats().forced_adoptions, 0u);
 }
 
+// The pinned-bucket bookkeeping (count + drain floor) against brute-force
+// rescans of the stamps, through every path that moves a stamp: rebuilds,
+// regrows, removed-DIP flips (new-version and no-op), the max_versions
+// force-retire, lookup adoptions, mark_all_seen and adopt_drained itself.
+TEST(VersionedMap, PinnedBookkeepingMatchesRescanUnderRandomDrive) {
+  stateless::StatelessKnobs knobs;
+  knobs.drain_idle_us = 50.0;
+  knobs.min_buckets = 32;
+  knobs.buckets_per_dip = 4;
+  knobs.max_versions = 4;
+  stateless::VersionedPoolMap map(0x9999ULL, knobs);
+  const auto scan_pinned = [&] {
+    std::size_t n = 0;
+    for (std::size_t b = 0; b < map.bucket_count(); ++b) n += map.stamp(b) != map.newest_epoch();
+    return n;
+  };
+  const auto scan_drained = [&](double now) {
+    std::size_t n = 0;
+    for (std::size_t b = 0; b < map.bucket_count(); ++b) {
+      n += map.stamp(b) != map.newest_epoch() &&
+           now - map.last_seen_us(b) >= knobs.drain_idle_us;
+    }
+    return n;
+  };
+
+  Rng rng(19);
+  std::vector<Ipv4Address> live = make_dips(3);
+  std::vector<Ipv4Address> removed;
+  std::uint32_t next_dip = 0;
+  ASSERT_TRUE(map.rebuild(VipPool::build(live, {}, 1), 0.0));
+  double now = 1.0;
+  std::size_t sweeps_flipping = 0;
+  std::size_t sweeps_idle_with_pins = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    now += static_cast<double>(rng.uniform(12));
+    switch (rng.uniform(8)) {
+      case 0: {  // DIP joins (the pool grows past its headroom: regrow)
+        if (live.size() >= 40) break;
+        live.push_back(Ipv4Address{10, 70, static_cast<std::uint8_t>(next_dip >> 8),
+                                   static_cast<std::uint8_t>(next_dip & 255)});
+        ++next_dip;
+        map.rebuild(VipPool::build(live, {}, 1), now);
+        break;
+      }
+      case 1: {  // DIP leaves: named, its buckets flip at once; else they drain
+        if (live.size() <= 2) break;
+        const std::size_t victim = static_cast<std::size_t>(rng.uniform(live.size()));
+        removed.push_back(live[victim]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        map.rebuild(VipPool::build(live, {}, 1), now,
+                    rng.uniform(2) == 0 ? removed.back() : Ipv4Address{});
+        break;
+      }
+      case 2: {  // re-sync naming a past removal: the no-op build's flips
+        if (removed.empty()) break;
+        map.rebuild(VipPool::build(live, {}, 1), now,
+                    removed[static_cast<std::size_t>(rng.uniform(removed.size()))]);
+        break;
+      }
+      case 3: {  // weight change: recolors without a membership change
+        std::vector<std::uint32_t> weights;
+        for (std::size_t d = 0; d < live.size(); ++d) {
+          weights.push_back(static_cast<std::uint32_t>(1 + rng.uniform(3)));
+        }
+        map.rebuild(VipPool::build(live, weights, 1), now);
+        break;
+      }
+      case 4:
+        map.mark_all_seen(now);
+        break;
+      case 5: {
+        const std::size_t expected = scan_drained(now);
+        const std::size_t pinned_before = scan_pinned();
+        ASSERT_EQ(map.adopt_drained(now), expected) << "iter " << iter;
+        ASSERT_EQ(scan_drained(now), 0u) << "iter " << iter;
+        sweeps_flipping += expected > 0;
+        sweeps_idle_with_pins += expected == 0 && pinned_before > 0;
+        break;
+      }
+      default:  // traffic, its clock jittered slightly backwards at times
+        for (int k = 0; k < 24; ++k) {
+          map.lookup(rng(), now - static_cast<double>(rng.uniform(40)));
+        }
+        break;
+    }
+    ASSERT_EQ(map.pinned_buckets(), scan_pinned()) << "iter " << iter;
+    ASSERT_EQ(map.settled(), scan_pinned() == 0) << "iter " << iter;
+  }
+
+  // Every stamp-moving path was exercised.
+  const auto& st = map.stats();
+  EXPECT_GT(st.bucket_regrows, 0u);
+  EXPECT_GT(st.forced_adoptions, 0u);
+  EXPECT_GT(st.dead_owner_flips, 0u);
+  EXPECT_GT(st.adoptions, 0u);
+  EXPECT_GT(st.noop_builds, 0u);
+  EXPECT_GT(sweeps_flipping, 0u);
+  EXPECT_GT(sweeps_idle_with_pins, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Twin-drive PCC: the acceptance scenario
 // ---------------------------------------------------------------------------

@@ -129,8 +129,12 @@ TEST(TelemetryStressTest, ReadersRaceWritersSafely) {
       last = now;
       if (now > 0) {
         EXPECT_LE(h.min(), h.max());
-        EXPECT_GE(h.percentile(50.0), h.min());
-        EXPECT_LE(h.percentile(50.0), h.max());
+        // p50 first: min() only falls and max() only rises, so extrema read
+        // after the percentile bound it, while extrema read before it may
+        // be passed by a sample recorded in between.
+        const double p50 = h.percentile(50.0);
+        EXPECT_GE(p50, h.min());
+        EXPECT_LE(p50, h.max());
       }
     }
   });
