@@ -11,8 +11,9 @@
 //       until its first echo (duet.live.update_lag_p{50,99}_ms) — the live
 //       counterpart of the paper's Fig 14 "time until the new placement
 //       serves". Each fresh add_dip is timed on its own
-//       (duet.live.add_dip_us_p50): a DIP costs a socket bind, not an I/O
-//       arena;
+//       (duet.live.add_dip_us_p50): a DIP is a loopback identity on the
+//       pool's one socket, so adding one is a table insert — no syscall,
+//       no fd, no I/O arena;
 //   (2) open loop: paced at DUET_LIVE_PPS (default 400 K) for
 //       DUET_LIVE_SECONDS — the throughput number. The acceptance line is
 //       >= 300 Kpps sustained on loopback with ZERO parse failures (every
@@ -128,7 +129,7 @@ int main() {
       const Ipv4Address dip{static_cast<std::uint32_t>((10u << 24) + (v << 16) + d + 1)};
       const auto at = dips.add_dip(dip);
       if (!at.has_value()) {
-        std::printf("SKIP: could not bind echo DIP sockets\n");
+        std::printf("SKIP: no echo DIP pool on this host\n");
         return 0;
       }
       mux.map_dip(dip, *at);
@@ -173,10 +174,10 @@ int main() {
   t1.print();
 
   // Update lag on the phase-1 deployment: how long a control change takes
-  // to serve. Each sample binds a fresh echo DIP on the running pool,
+  // to serve. Each sample adds a fresh echo DIP to the running pool,
   // pushes a fresh VIP onto it with the DIP's endpoint in the same update,
   // as duetd does, and probes until the first echo. The clock starts before
-  // the bind, so it covers both the mux's and the echo pool's wake-up.
+  // the add, so it covers the add and the mux's wake-up.
   constexpr std::size_t kLagSamples = 50;
   constexpr double kUpdateLagMaxMs = 5.0;
   constexpr double kAddDipMaxUs = 30.0;
@@ -195,7 +196,7 @@ int main() {
     const auto at = dips.add_dip(dip);
     add_dip_us.add(ms_since(t0) * 1e3);
     if (!at.has_value()) {
-      std::printf("SKIP: could not bind echo DIP sockets\n");
+      std::printf("SKIP: no echo DIP pool on this host\n");
       return 0;
     }
     mux.apply_vip_update(vip, {dip}, {}, {{dip, *at}});

@@ -1,28 +1,36 @@
 // Persistence bench: crash-recovery time vs op-journal length, WAL append
-// cost, and the snapshot-compaction payoff.
+// cost, the snapshot-compaction payoff, and migrate cost vs uptime.
 //
-// Three questions, answered on the same deterministic op scripts:
+// Four questions, the first three answered on the same deterministic op
+// scripts:
 //   * how fast do journaled mutations apply under each fsync policy (the
 //     price of write-ahead durability);
 //   * how does recovery time grow with the journal length when every op
 //     must replay (no snapshots) — the paper-side worst case for a
 //     controller restart;
 //   * how flat does recovery stay when auto-snapshots bound the replay tail
-//     (the duetd default).
+//     (the duetd default);
+//   * does a `migrate` (which audits the controller twice) cost the same
+//     after 10k churn ops as on a fresh controller — the journal audit folds
+//     only what was appended since the last audit.
 //
-// Gate (strict): with snapshots every 64 ops, recovery must replay <= 64
+// Gates (strict): with snapshots every 64 ops, recovery must replay <= 64
 // ops regardless of history length — the compaction bound that keeps duetd
-// restarts O(snapshot interval), not O(uptime).
+// restarts O(snapshot interval), not O(uptime); and a migrate after 10k
+// churn ops costs at most kMaxMigrateHistoryRatio times a fresh one.
 //
 // Exports BENCH_persist.json (duet.bench.persist.* gauges).
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "common.h"
+#include "duet/controller.h"
 #include "persist/store.h"
 #include "util/random.h"
 
@@ -184,6 +192,53 @@ RunResult run_case(const FatTree& fabric, const std::vector<persist::Op>& script
   return result;
 }
 
+constexpr double kMaxMigrateHistoryRatio = 2.0;
+
+// Median wall time of one migrate round trip (onto an HMux, then back to the
+// SMuxes) on a controller shaped like duetd's, after `history` churn ops.
+// Every sample follows the same 8 untimed churn ops, so each migrate audits
+// the same number of fresh journal events whatever the history.
+double migrate_round_trip_us(const FatTree& fabric, std::size_t history) {
+  DuetController ctl(fabric, DuetConfig{}, FlowHasher{1}, 1);
+  ctl.deploy_smuxes({fabric.tors.front(), fabric.tors[fabric.tors.size() / 2], fabric.tors.back()},
+                    Ipv4Prefix{Ipv4Address{100, 0, 0, 0}, 8});
+  const Ipv4Address vip{100, 0, 1, 1};
+  ctl.add_vip(vip, {Ipv4Address{10, 0, 0, 1}, Ipv4Address{10, 0, 0, 2}});
+  double t_us = 0.0;
+  std::uint32_t next = 0;
+  // One churn op: a cycle of add-vip, add-dip, remove-dip, remove-vip.
+  const auto churn = [&] {
+    const std::uint32_t cycle = next / 4;
+    const Ipv4Address v{(100u << 24) + (2u << 16) + cycle};
+    const Ipv4Address d1{(10u << 24) + (1u << 16) + cycle};
+    const Ipv4Address d2{(10u << 24) + (2u << 16) + cycle};
+    ctl.set_clock_us(t_us += 1e3);
+    switch (next++ % 4) {
+      case 0: ctl.add_vip(v, {d1}); break;
+      case 1: ctl.add_dip(v, d2); break;
+      case 2: ctl.remove_dip(v, d1); break;
+      default: ctl.remove_vip(v); break;
+    }
+  };
+  for (std::size_t i = 0; i < history; ++i) churn();
+  // Close the last churn cycle and audit the history once, untimed.
+  while (next % 4 != 0) churn();
+  (void)ctl.migrate_vip(vip, std::nullopt);
+
+  std::vector<double> samples;
+  for (int s = 0; s < 31; ++s) {
+    for (int i = 0; i < 8; ++i) churn();
+    ctl.set_clock_us(t_us += 1e3);
+    Stopwatch sw;
+    (void)ctl.migrate_vip(vip, fabric.tors.front());
+    ctl.set_clock_us(t_us += 1e3);
+    (void)ctl.migrate_vip(vip, std::nullopt);
+    samples.push_back(sw.seconds() * 1e6);
+  }
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2, samples.end());
+  return samples[samples.size() / 2];
+}
+
 }  // namespace
 
 int main() {
@@ -239,6 +294,25 @@ int main() {
   }
   table.print();
   std::printf("\ngate: snapshot-compaction replay bound %s\n", gate_ok ? "ok" : "FAILED");
+
+  // Migrate vs history: the journal audit must not replay the uptime.
+  constexpr std::size_t kHistory = 10000;
+  const double fresh_us = migrate_round_trip_us(fabric, 0);
+  const double aged_us = migrate_round_trip_us(fabric, kHistory);
+  const double ratio = aged_us / fresh_us;
+  TablePrinter migrate_table{{"churn ops before", "migrate round trip us (p50)"}};
+  migrate_table.add_row({"0", TablePrinter::fmt(fresh_us, "%.1f")});
+  migrate_table.add_row({TablePrinter::fmt_int(static_cast<long long>(kHistory)),
+                         TablePrinter::fmt(aged_us, "%.1f")});
+  std::printf("\n");
+  migrate_table.print();
+  registry.gauge("duet.bench.persist.migrate_us_p50.fresh").set(fresh_us);
+  registry.gauge("duet.bench.persist.migrate_us_p50.after_10k_ops").set(aged_us);
+  registry.gauge("duet.bench.persist.migrate_history_ratio").set(ratio);
+  const bool migrate_ok = ratio <= kMaxMigrateHistoryRatio;
+  std::printf("gate: migrate after %zu ops / fresh = %.2f (<= %.1f) %s\n", kHistory, ratio,
+              kMaxMigrateHistoryRatio, migrate_ok ? "ok" : "FAILED");
+  gate_ok = gate_ok && migrate_ok;
 
   export_bench_json("persist", registry);
   return gate_ok ? 0 : 1;

@@ -1,6 +1,7 @@
 #include "audit/invariants.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -437,21 +438,45 @@ AuditReport InvariantAuditor::audit(const SystemSnapshot& snapshot) const {
 
 // --- 15. migration-through-smux (§4.2, temporal) -----------------------------
 AuditReport InvariantAuditor::audit_journal(const telemetry::EventJournal& journal) const {
+  JournalCursor cursor;
+  return audit_journal(journal, cursor);
+}
+
+AuditReport InvariantAuditor::audit_journal(const telemetry::EventJournal& journal,
+                                            JournalCursor& cursor) const {
   AuditReport report;
   Collector c(report);
   c.begin_invariant();  // migration-through-smux
   c.begin_invariant();  // journal-withdraw-matches
 
-  // Replay the /32 announce/withdraw stream in stable time order. The §4.2
+  const auto& events = journal.events();
+  bool refold = journal.clears() != cursor.clears || events.size() < cursor.folded;
+  for (std::size_t i = cursor.folded; !refold && i < events.size(); ++i) {
+    refold = events[i].t_us < cursor.watermark_us;
+  }
+  if (refold) {
+    const std::uint64_t lifetime = cursor.events_folded;
+    cursor = JournalCursor{};
+    cursor.clears = journal.clears();
+    cursor.events_folded = lifetime;
+  }
+
+  // Fold the /32 announce/withdraw stream in stable time order. The §4.2
   // phase rule (withdraw converges before the new announce) means a VIP's
   // announcer set never holds two switches at once; journal ties keep
   // insertion order, so a same-instant withdraw+announce pair is legal
   // exactly when the withdraw was journaled first.
-  std::unordered_map<Ipv4Address, std::unordered_set<std::uint32_t>> announcers;
-  for (const auto& e : journal.ordered()) {
+  std::vector<std::size_t> order(events.size() - cursor.folded);
+  std::iota(order.begin(), order.end(), cursor.folded);
+  std::stable_sort(order.begin(), order.end(), [&events](std::size_t a, std::size_t b) {
+    return events[a].t_us < events[b].t_us;
+  });
+  for (const std::size_t i : order) {
+    const telemetry::Event& e = events[i];
+    cursor.watermark_us = std::max(cursor.watermark_us, e.t_us);
     if (e.vip == Ipv4Address{}) continue;  // aggregate (SMux) routes
     if (e.kind == telemetry::EventKind::kBgpAnnounce) {
-      auto& set = announcers[e.vip];
+      auto& set = cursor.announcers[e.vip];
       set.insert(e.sw);
       if (set.size() > 1) {
         c.add("migration-through-smux", Severity::kError, "VIP ", addr(e.vip), " announced by ",
@@ -459,7 +484,7 @@ AuditReport InvariantAuditor::audit_journal(const telemetry::EventJournal& journ
               "us: an HMux-to-HMux move skipped the SMux transit");
       }
     } else if (e.kind == telemetry::EventKind::kBgpWithdraw) {
-      auto& set = announcers[e.vip];
+      auto& set = cursor.announcers[e.vip];
       if (set.erase(e.sw) == 0) {
         c.add("journal-withdraw-matches", Severity::kWarning, "VIP ", addr(e.vip),
               " withdrawn from switch ", e.sw, " at t=", e.t_us,
@@ -467,6 +492,8 @@ AuditReport InvariantAuditor::audit_journal(const telemetry::EventJournal& journ
       }
     }
   }
+  cursor.folded = events.size();
+  cursor.events_folded += order.size();
   return report;
 }
 

@@ -15,11 +15,17 @@
 // The journal auditor replays BGP /32 announce/withdraw events and checks
 // the *temporal* invariant the snapshot cannot see: at no instant does a
 // VIP have two announcers, i.e. every HMux-to-HMux move really transited
-// the SMuxes (withdraw strictly before announce, §4.2).
+// the SMuxes (withdraw strictly before announce, §4.2). The replay is a fold
+// into a JournalCursor, so a long-lived controller audits only what its
+// journal gained since the last audit.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "audit/check.h"
@@ -55,6 +61,20 @@ struct AuditOptions {
   bool expect_converged_placement = true;
 };
 
+// The journal audit's replay state: every VIP's /32 announcer set, folded
+// over the journal's first `folded` events, none of them later than
+// `watermark_us`. A fold continues from here when every appended event is
+// at or after the watermark (the full replay's stable time order is then the
+// folded prefix's order followed by the suffix's); otherwise, or when the
+// journal was cleared or shrank, it refolds from an empty cursor.
+struct JournalCursor {
+  std::unordered_map<Ipv4Address, std::unordered_set<std::uint32_t>> announcers;
+  std::size_t folded = 0;
+  std::uint64_t clears = 0;  // the journal's clears() at the last fold
+  double watermark_us = -std::numeric_limits<double>::infinity();
+  std::uint64_t events_folded = 0;  // lifetime total, refolds included
+};
+
 // Name + provenance of one audited invariant, for docs and `duetctl audit`.
 struct InvariantInfo {
   const char* name;
@@ -71,8 +91,12 @@ class InvariantAuditor {
 
   // Replays the journal's BGP /32 announce/withdraw stream and checks the
   // §4.2 migration phase order (invariants "migration-through-smux" and
-  // "journal-withdraw-matches").
+  // "journal-withdraw-matches"): a fold from an empty cursor.
   AuditReport audit_journal(const telemetry::EventJournal& journal) const;
+  // Folds the events appended since `cursor`'s last fold (or refolds, see
+  // JournalCursor) and reports the violations among the events it folded,
+  // so a violation is reported by the first audit that folds it.
+  AuditReport audit_journal(const telemetry::EventJournal& journal, JournalCursor& cursor) const;
 
   // The full catalogue (including the data-path "single-encap" audit that
   // lives in dataplane/pipeline.cc rather than here).

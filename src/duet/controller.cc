@@ -20,7 +20,8 @@ DuetController::DuetController(const FatTree& fabric, DuetConfig config, FlowHas
         return o;
       }()),
       routing_(fabric.topo.switch_count()),
-      rng_(seed) {
+      rng_(seed),
+      journal_cursor_(std::make_unique<audit::JournalCursor>()) {
   options_.seed = seed;
   // Audit violations count into this controller's registry (last controller
   // constructed wins the process-wide binding; sims build one).
@@ -33,7 +34,10 @@ void DuetController::audit_now(bool converged_placement, const char* where) {
   if (!audit::audit_enabled()) return;
   audit::InvariantAuditor auditor(audit::AuditOptions{converged_placement});
   audit::AuditReport report = auditor.audit(audit::SystemSnapshot::capture(*this));
-  report.merge(auditor.audit_journal(telemetry_.journal));
+  const std::uint64_t folded_before = journal_cursor_->events_folded;
+  report.merge(auditor.audit_journal(telemetry_.journal, *journal_cursor_));
+  telemetry_.registry.counter("duet.audit.journal_events_folded")
+      .inc(journal_cursor_->events_folded - folded_before);
   if (!report.clean()) {
     DUET_LOG_ERROR << "invariant audit (" << where << "): " << report.summary();
   }

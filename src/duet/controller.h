@@ -36,6 +36,7 @@
 namespace duet {
 
 namespace audit {
+struct JournalCursor;
 struct SystemSnapshot;
 }  // namespace audit
 
@@ -183,10 +184,12 @@ class DuetController {
 
   VipRecord& record(Ipv4Address vip);
   const VipRecord* find_record(Ipv4Address vip) const;
-  // Runs the invariant auditor over a fresh snapshot (plus a journal replay)
-  // and raises every violation through the audit/check.h policy. No-op when
-  // the process audit level is off. `converged_placement` is false between
-  // the §4.2 withdraw and announce phases.
+  // Runs the invariant auditor over a fresh snapshot plus the journal events
+  // appended since the last audit (folded into journal_cursor_; the count
+  // lands in `duet.audit.journal_events_folded`) and raises every violation
+  // through the audit/check.h policy. No-op when the process audit level is
+  // off. `converged_placement` is false between the §4.2 withdraw and
+  // announce phases.
   void audit_now(bool converged_placement, const char* where);
   Hmux& ensure_hmux(SwitchId s);
   void journal_event(telemetry::EventKind kind, Ipv4Address vip = {}, Ipv4Address dip = {},
@@ -225,6 +228,9 @@ class DuetController {
     telemetry::EventJournal journal;
   };
   Telemetry telemetry_;
+  // audit_now's journal replay state, so an audit's cost does not grow
+  // with the controller's uptime.
+  std::unique_ptr<audit::JournalCursor> journal_cursor_;
   double clock_us_ = 0.0;
 };
 

@@ -1,6 +1,5 @@
 #include "persist/daemon.h"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +22,8 @@ namespace {
 const Ipv4Prefix kVipAggregate{Ipv4Address{100, 0, 0, 0}, 8};
 
 constexpr int kRequestTimeoutMs = 5000;
+// The ops loop re-checks its stop flag this often; stop() wakes it at once.
+constexpr int kOpsTickMs = 1000;
 
 std::optional<std::uint32_t> parse_u32(const std::string& text) {
   if (text.empty()) return std::nullopt;
@@ -103,9 +104,11 @@ bool Duetd::start(std::string* error) {
   // next config churn.
   if (store_->recovery().fast_tier_rebuilds > 0) mux_->rebuild_fast_tier();
 
-  std::string listen_error;
+  std::string listen_error = "cannot watch the listening socket";
   listen_fd_ = ctl_listen(socket_path_, &listen_error);
-  if (listen_fd_ < 0) {
+  if (listen_fd_ < 0 || !ops_loop_.add(listen_fd_, [this] { serve_one(); })) {
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
     mux_->shutdown();
     mux_->join();
     dips_.shutdown();
@@ -115,30 +118,25 @@ bool Duetd::start(std::string* error) {
   stop_accept_.store(false, std::memory_order_release);
   accept_thread_ = std::thread([this] {
     runtime::name_this_thread("duet-ops");
-    accept_loop();
+    ops_loop_.run(stop_accept_, kOpsTickMs);
   });
   started_ = true;
   return true;
 }
 
-void Duetd::accept_loop() {
-  while (!stop_accept_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc <= 0 || (pfd.revents & POLLIN) == 0) continue;
-    const int cfd = ::accept(listen_fd_, nullptr, nullptr);
-    if (cfd < 0) continue;
-    if (auto frame = ctl_recv_frame(cfd, kRequestTimeoutMs); frame.has_value()) {
-      CtlResponse response;
-      if (auto argv = decode_request(*frame); argv.has_value()) {
-        response = handle(*argv);
-      } else {
-        response = usage("malformed request frame");
-      }
-      ctl_send_frame(cfd, encode_response(response), kRequestTimeoutMs);
+void Duetd::serve_one() {
+  const int cfd = ::accept(listen_fd_, nullptr, nullptr);
+  if (cfd < 0) return;
+  if (auto frame = ctl_recv_frame(cfd, kRequestTimeoutMs); frame.has_value()) {
+    CtlResponse response;
+    if (auto argv = decode_request(*frame); argv.has_value()) {
+      response = handle(*argv);
+    } else {
+      response = usage("malformed request frame");
     }
-    ::close(cfd);
+    ctl_send_frame(cfd, encode_response(response), kRequestTimeoutMs);
   }
+  ::close(cfd);
 }
 
 double Duetd::next_t_us() {
@@ -153,10 +151,10 @@ void Duetd::push_vip(Ipv4Address vip) {
     mux_->apply_vip_removal(vip);
     return;
   }
-  // Bind every DIP the serving path has not seen yet in one call (one echo
-  // pool wake-up), then hand the new endpoints to the mux inside the VIP's
-  // own update (one wake-up per worker): the op costs O(its DIPs), however
-  // many DIPs are already bound.
+  // Give every DIP the serving path has not seen yet an echo identity in
+  // one call (a table insert, no syscall), then hand the new endpoints to
+  // the mux inside the VIP's own update (one wake-up per worker): the op
+  // costs O(its DIPs), however many DIPs are already deployed.
   std::vector<Ipv4Address> fresh;
   for (const Ipv4Address dip : dips) {
     if (!dip_at_.contains(dip) && std::find(fresh.begin(), fresh.end(), dip) == fresh.end()) {
@@ -168,7 +166,7 @@ void Duetd::push_vip(Ipv4Address vip) {
     const auto bound = dips_.add_dips(fresh);
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       if (!bound[i].has_value()) {
-        DUET_LOG_WARN << "duetd: failed to bind an echo endpoint for DIP " << fresh[i].to_string();
+        DUET_LOG_WARN << "duetd: no echo endpoint for DIP " << fresh[i].to_string();
         continue;
       }
       dip_at_.emplace(fresh[i], *bound[i]);
@@ -382,6 +380,7 @@ void Duetd::stop(bool snapshot) {
   if (!started_ || stopped_) return;
   stopped_ = true;
   stop_accept_.store(true, std::memory_order_release);
+  ops_loop_.wake();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);

@@ -7,10 +7,11 @@
 //     UDP socket, kept in sync with the controller's VIP→DIP state via the
 //     live-update queues its workers apply as soon as they are woken;
 //   * a FakeDipPool: in-process echo backends standing in for real DIPs —
-//     every DIP the controller knows gets a loopback endpoint, mapped into
-//     the serving path (runtime-local state, deliberately NOT journaled: on
-//     restart the pool re-binds and the mapping is rebuilt from the
-//     recovered controller);
+//     every DIP the controller knows gets a loopback identity endpoint on
+//     the pool's one socket, mapped into the serving path (runtime-local
+//     state, deliberately NOT journaled: on restart the pool hands out
+//     identities afresh and the mapping is rebuilt from the recovered
+//     controller);
 //   * an ops socket (persist/ctl_protocol.h): duetctl's add-vip / add-dip /
 //     migrate / stats / audit / snapshot / drain subcommands, one request
 //     per connection, served sequentially so mutations are totally ordered.
@@ -42,6 +43,7 @@
 #include "duet/config.h"
 #include "persist/ctl_protocol.h"
 #include "persist/store.h"
+#include "runtime/event_loop.h"
 #include "runtime/fake_dip.h"
 #include "runtime/mux_server.h"
 #include "topo/fattree.h"
@@ -106,10 +108,11 @@ class Duetd {
   runtime::FakeDipPool& dip_pool() noexcept { return dips_; }
 
  private:
-  void accept_loop();
+  // Accepts one ops connection and answers its one request. Ops thread.
+  void serve_one();
   // Renders the controller's current pool for `vip` into the MuxServer
-  // (update or removal), binding echo endpoints for any new DIPs. Wakes the
-  // echo pool at most once and each mux worker once, whatever the DIP count.
+  // (update or removal), adding echo identities for any new DIPs. Wakes
+  // each mux worker once, whatever the DIP count.
   void push_vip(Ipv4Address vip);
   // Journal clock for new ops: monotone continuation of the recovered clock.
   double next_t_us();
@@ -128,6 +131,9 @@ class Duetd {
   std::chrono::steady_clock::time_point t0_{};
 
   int listen_fd_ = -1;
+  // The ops thread's loop: the listening socket plus a wake channel, so
+  // stop() interrupts the wait at once instead of polling a flag.
+  runtime::EventLoop ops_loop_;
   std::thread accept_thread_;
   std::atomic<bool> stop_accept_{false};
   std::atomic<bool> drain_{false};

@@ -25,6 +25,10 @@ void encode_demand(ByteWriter& w, const VipDemand& d) {
   }
 }
 
+// The smallest encoded VipDemand (no ingress or ToR entries), so a claimed
+// demand count is checked against the bytes left before anything is sized.
+constexpr std::size_t kMinDemandBytes = 4 + 4 + 8 + 8 + 4 + 4;
+
 bool decode_demand(ByteReader& r, VipDemand& d) {
   d.id = r.u32().value_or(0);
   d.vip = Ipv4Address{r.u32().value_or(0)};
@@ -124,7 +128,7 @@ std::optional<Op> decode_op(std::span<const std::uint8_t> bytes) {
   op.weights.reserve(n_weights);
   for (std::uint32_t i = 0; i < n_weights; ++i) op.weights.push_back(r.u32().value_or(0));
   const std::uint32_t n_demands = r.u32().value_or(0);
-  if (!r.ok()) return std::nullopt;
+  if (!r.ok() || n_demands > r.remaining() / kMinDemandBytes) return std::nullopt;
   op.demands.resize(n_demands);
   for (std::uint32_t i = 0; i < n_demands; ++i) {
     if (!decode_demand(r, op.demands[i])) return std::nullopt;

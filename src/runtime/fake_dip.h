@@ -1,21 +1,34 @@
 // Echo endpoints standing in for real DIP servers.
 //
-// Each DIP gets its own loopback UDP socket (one real endpoint per simulated
-// backend). An arriving IP-in-IP datagram is validated with peek_encap,
-// decapsulated by dropping the outer 20 bytes — the nested total-length
-// chain stays valid, so the inner datagram is byte-for-byte what the client
-// originally sent — and echoed to (reply_addr, inner src_port).
+// The pool owns ONE UDP socket, bound once at construction to INADDR_ANY on
+// an ephemeral port and pinned to the loopback device (SO_BINDTODEVICE
+// "lo"), so it takes no traffic from any other interface. Each DIP is an
+// IDENTITY: a distinct loopback address in 127.0.0.0/8 on that one port
+// (never 127.0.0.1, never the /8's network or broadcast address). Adding a
+// DIP is a table insert — no syscall, no fd, no buffer.
+//
+// IP_PKTINFO works both ways. On receive it tells the pool which identity a
+// datagram was sent to. An arriving IP-in-IP datagram is validated with
+// peek_encap, decapsulated by dropping the outer 20 bytes — the nested
+// total-length chain stays valid, so the inner datagram is byte-for-byte
+// what the client originally sent — and echoed to (reply_addr, inner
+// src_port). On send, ipi_spec_dst sets each echo's source address to the
+// identity it arrived at.
 //
 // This is the paper's DSR analog (§2.1): replies bypass the mux entirely,
-// and because every DIP answers from its own socket, the reply's kernel
-// source endpoint tells the load generator exactly which DIP served the
-// flow — the observable the sim/live equivalence test keys on.
+// and because every DIP answers from its own identity endpoint, the reply's
+// kernel source endpoint tells the load generator exactly which DIP served
+// the flow — the observable the sim/live equivalence test keys on.
 //
-// Memory: one pool thread serves every socket, and it finishes one socket's
-// batch before it reads the next, so the pool owns ONE BatchIo arena and
-// one rx/tx scratch shared by all of its sockets. A DIP costs a socket and
-// two counters, not an I/O arena: adding one is a bind, not a 132 KB
-// zero-fill.
+// Checks: a datagram whose outer destination is not the DIP its identity
+// belongs to (or that is not valid IP-in-IP) counts in rejects_at(that DIP)
+// and is not echoed, so a mux bug that skips encap or maps a DIP to the
+// wrong endpoint shows up as rejects, not silent success. A datagram to an
+// unregistered address on the pool's port is never echoed.
+//
+// Linux only (recvmmsg/sendmmsg with per-message control buffers,
+// IP_PKTINFO, SO_BINDTODEVICE): elsewhere kFakeDipPoolAvailable is false,
+// add_dips returns no endpoints and start() fails.
 #pragma once
 
 #include <atomic>
@@ -25,6 +38,7 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/ip.h"
@@ -33,13 +47,18 @@
 
 namespace duet::runtime {
 
+#if defined(__linux__)
+inline constexpr bool kFakeDipPoolAvailable = true;
+#else
+inline constexpr bool kFakeDipPoolAvailable = false;
+#endif
+
 class FakeDipPool {
  public:
   struct Options {
-    Ipv4Address bind_addr{127, 0, 0, 1};
     Ipv4Address reply_addr{127, 0, 0, 1};
     std::size_t batch = 64;
-    int tick_ms = 50;  // stop-flag re-check period; live adds land on wake
+    int tick_ms = 50;  // stop-flag re-check period
   };
 
   FakeDipPool() : FakeDipPool(Options{}) {}
@@ -48,12 +67,11 @@ class FakeDipPool {
   FakeDipPool(const FakeDipPool&) = delete;
   FakeDipPool& operator=(const FakeDipPool&) = delete;
 
-  // Binds an echo socket for each of `dips`; returns their real endpoints in
-  // order (to hand to MuxServer::map_dip), nullopt where a bind failed.
-  // Works before start() and on a RUNNING pool: a live add is bound
-  // immediately (the endpoint is valid at once) and registered by the
-  // serving loop, which the call wakes once — and only when it queued a
-  // socket. duetd binds one control op's fresh DIPs with one call.
+  // Gives each of `dips` an identity endpoint and returns them in order (to
+  // hand to MuxServer::map_dip); nullopt where the pool has no socket or its
+  // identities ran out. A DIP already in the pool keeps its endpoint. Works
+  // before start() and on a RUNNING pool: the identity echoes from the moment
+  // the call returns.
   std::vector<std::optional<Endpoint>> add_dips(std::span<const Ipv4Address> dips);
   // One-DIP add_dips.
   std::optional<Endpoint> add_dip(Ipv4Address dip);
@@ -62,31 +80,33 @@ class FakeDipPool {
   void shutdown();
   void join();
 
-  // Live counters (relaxed): datagrams seen / rejected at this DIP.
+  // Datagrams seen / rejected at this DIP's identity.
   std::uint64_t packets_at(Ipv4Address dip) const;
   std::uint64_t rejects_at(Ipv4Address dip) const;
   std::uint64_t total_packets() const;
 
  private:
-  struct DipSock;
-  // Echoes one socket's queued datagrams through the shared arena. Pool
-  // thread only.
-  void pump(DipSock& ds);
-  // Registers queued live adds with the loop. Runs on the pool thread (wake
-  // callback).
-  void drain_pending();
+  struct Slot {
+    Ipv4Address dip;
+    std::uint64_t packets = 0;
+    std::uint64_t rejects = 0;
+  };
+  // recvmmsg/sendmmsg arena with per-message control buffers (fake_dip.cc).
+  struct Io;
+
+  // Echoes the socket's queued datagrams. Pool thread only.
+  void pump();
 
   Options opts_;
-  // The shared I/O arena and scratch (see the header comment).
-  BatchIo io_;
-  std::vector<RxPacket> rx_;
-  std::vector<TxPacket> tx_;
-  mutable std::mutex dips_mu_;  // guards dips_ against drain_pending's appends
-  std::vector<std::unique_ptr<DipSock>> dips_;
-  std::mutex pending_mu_;
-  std::vector<std::unique_ptr<DipSock>> pending_;
+  UdpSocket sock_;
+  std::uint16_t port_ = 0;
+  std::unique_ptr<Io> io_;
+  // Guards slots_ and index_; the pool thread holds it while it classifies
+  // one received batch, never across a syscall.
+  mutable std::mutex mu_;
+  std::vector<Slot> slots_;  // slot i is identity kFirstIdentity + i
+  std::unordered_map<Ipv4Address, std::uint32_t> index_;  // DIP -> slot
   std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
   std::thread thread_;
   EventLoop loop_;
 };

@@ -65,7 +65,13 @@ class EventJournal {
 
   std::size_t size() const noexcept { return events_.size(); }
   bool empty() const noexcept { return events_.empty(); }
-  void clear() { events_.clear(); }
+  void clear() {
+    events_.clear();
+    ++clears_;
+  }
+  // How many times clear() ran: an incremental reader (audit::JournalCursor)
+  // tells a cleared-then-regrown journal from one that only grew.
+  std::uint64_t clears() const noexcept { return clears_; }
 
   // Insertion order (the raw stream).
   const std::vector<Event>& events() const noexcept { return events_; }
@@ -82,6 +88,7 @@ class EventJournal {
 
  private:
   std::vector<Event> events_;
+  std::uint64_t clears_ = 0;
 };
 
 }  // namespace duet::telemetry

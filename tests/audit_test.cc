@@ -10,6 +10,7 @@
 #include "audit/invariants.h"
 #include "audit/snapshot.h"
 #include "duet/controller.h"
+#include "util/random.h"
 #include "workload/tracegen.h"
 
 namespace duet::audit {
@@ -362,6 +363,189 @@ TEST(JournalAuditTest, IgnoresAggregateRoutes) {
   journal.record(0.0, telemetry::EventKind::kBgpAnnounce, {}, {}, 4, "smux aggregate");
   journal.record(0.0, telemetry::EventKind::kBgpAnnounce, {}, {}, 9, "smux aggregate");
   EXPECT_TRUE(InvariantAuditor{}.audit_journal(journal).clean());
+}
+
+// --- the journal cursor: incremental folds equal a full replay ----------------
+
+// A random announce/withdraw stream over three VIPs and the aggregate, with
+// ties, out-of-order times, and (by chance, then checked) two-announcer and
+// unmatched-withdraw violations.
+std::vector<telemetry::Event> random_stream(Rng& rng, std::size_t n) {
+  const Ipv4Address vips[] = {Ipv4Address{}, Ipv4Address{100, 1, 0, 1}, Ipv4Address{100, 1, 0, 2},
+                              Ipv4Address{100, 1, 0, 3}};
+  const telemetry::EventKind kinds[] = {telemetry::EventKind::kBgpAnnounce,
+                                        telemetry::EventKind::kBgpWithdraw,
+                                        telemetry::EventKind::kVipPlaced};
+  std::vector<telemetry::Event> out;
+  double t = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t step = rng.uniform(10);
+    if (step < 4) {
+      // tie: same instant as the previous event
+    } else if (step < 9) {
+      t += static_cast<double>(rng.uniform(3) + 1);
+    } else {
+      t -= static_cast<double>(rng.uniform(5) + 1);  // out of order
+    }
+    telemetry::Event e;
+    e.t_us = t;
+    e.kind = kinds[rng.uniform(3)];
+    e.vip = vips[rng.uniform(4)];
+    e.sw = static_cast<std::uint32_t>(rng.uniform(3) + 1);
+    out.push_back(e);
+  }
+  return out;
+}
+
+std::vector<std::string> messages(const AuditReport& r) {
+  std::vector<std::string> out;
+  for (const auto& v : r.violations) out.push_back(v.invariant + ": " + v.message);
+  return out;
+}
+
+TEST(JournalCursorTest, IncrementalFoldEqualsFullReplayAtEverySplit) {
+  const InvariantAuditor auditor;
+  std::size_t two_announcers = 0;
+  std::size_t unmatched = 0;
+  std::size_t refolds = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const auto stream = random_stream(rng, 24 + rng.uniform(24));
+    telemetry::EventJournal whole;
+    for (const auto& e : stream) whole.record(e);
+    JournalCursor full;
+    const AuditReport expected = auditor.audit_journal(whole, full);
+    two_announcers += expected.count("migration-through-smux");
+    unmatched += expected.count("journal-withdraw-matches");
+
+    for (std::size_t split = 0; split <= stream.size(); ++split) {
+      telemetry::EventJournal journal;
+      for (std::size_t i = 0; i < split; ++i) journal.record(stream[i]);
+      JournalCursor cursor;
+      const AuditReport first = auditor.audit_journal(journal, cursor);
+      for (std::size_t i = split; i < stream.size(); ++i) journal.record(stream[i]);
+      const std::uint64_t before = cursor.events_folded;
+      const AuditReport second = auditor.audit_journal(journal, cursor);
+      const bool refolded = cursor.events_folded - before == stream.size() && split > 0;
+      refolds += refolded ? 1 : 0;
+
+      // A continued fold folds only the suffix; its violations complete the
+      // first audit's. A refold reports the full replay's.
+      auto reported = messages(second);
+      if (!refolded) {
+        EXPECT_EQ(cursor.events_folded - before, stream.size() - split);
+        auto all = messages(first);
+        all.insert(all.end(), reported.begin(), reported.end());
+        reported = std::move(all);
+      }
+      EXPECT_EQ(reported, messages(expected)) << "seed " << seed << " split " << split;
+      EXPECT_EQ(cursor.announcers, full.announcers) << "seed " << seed << " split " << split;
+      EXPECT_EQ(cursor.watermark_us, full.watermark_us);
+      EXPECT_EQ(cursor.folded, stream.size());
+    }
+  }
+  // The corpus exercised every path.
+  EXPECT_GT(two_announcers, 0u);
+  EXPECT_GT(unmatched, 0u);
+  EXPECT_GT(refolds, 0u);
+}
+
+TEST(JournalCursorTest, ClearedJournalRefoldsEvenWhenItRegrowsLonger) {
+  const InvariantAuditor auditor;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const auto before = random_stream(rng, 8);
+    const auto after = random_stream(rng, 16);  // longer: size alone cannot tell
+    telemetry::EventJournal journal;
+    for (const auto& e : before) journal.record(e);
+    JournalCursor cursor;
+    (void)auditor.audit_journal(journal, cursor);
+    journal.clear();
+    for (const auto& e : after) journal.record(e);
+    const AuditReport got = auditor.audit_journal(journal, cursor);
+
+    telemetry::EventJournal fresh;
+    for (const auto& e : after) fresh.record(e);
+    JournalCursor full;
+    const AuditReport expected = auditor.audit_journal(fresh, full);
+    EXPECT_EQ(messages(got), messages(expected)) << "seed " << seed;
+    EXPECT_EQ(cursor.announcers, full.announcers) << "seed " << seed;
+  }
+}
+
+TEST(JournalCursorTest, FoldAfterEveryAppendReportsEachViolationOnce) {
+  const InvariantAuditor auditor;
+  telemetry::EventJournal journal;
+  JournalCursor cursor;
+  const Ipv4Address vip{100, 1, 2, 3};
+  std::vector<std::string> reported;
+  const auto step = [&](double t, telemetry::EventKind kind, std::uint32_t sw) {
+    journal.record(t, kind, vip, {}, sw);
+    for (auto& m : messages(auditor.audit_journal(journal, cursor))) reported.push_back(m);
+  };
+  step(0.0, telemetry::EventKind::kBgpAnnounce, 4);
+  step(10.0, telemetry::EventKind::kBgpAnnounce, 9);  // two announcers
+  step(20.0, telemetry::EventKind::kBgpWithdraw, 4);
+  step(30.0, telemetry::EventKind::kBgpWithdraw, 7);  // unmatched
+  step(40.0, telemetry::EventKind::kBgpWithdraw, 9);
+  ASSERT_EQ(reported.size(), 2u);
+  EXPECT_EQ(reported, messages(auditor.audit_journal(journal)));
+  EXPECT_EQ(cursor.events_folded, 5u);
+}
+
+TEST(JournalCursorTest, MigrateAfterLongChurnFoldsOnlyTheNewEvents) {
+  AuditLevelGuard guard;
+  set_audit_level(AuditLevel::kLog);
+  // duetd's shape: the small fabric, three SMuxes, one VIP migrated.
+  FatTree fabric = build_fattree(FatTreeParams::scaled(2, 4, 2));
+  DuetController controller(fabric, DuetConfig{}, FlowHasher{1}, 1);
+  controller.deploy_smuxes({fabric.tors.front(), fabric.tors[fabric.tors.size() / 2],
+                            fabric.tors.back()},
+                           kAgg);
+  const Ipv4Address vip{100, 0, 1, 1};
+  controller.add_vip(vip, {Ipv4Address{10, 0, 0, 1}, Ipv4Address{10, 0, 0, 2}});
+  const SwitchId target = fabric.tors.front();
+  const auto folded = [&] {
+    return controller.metrics().counter("duet.audit.journal_events_folded").value();
+  };
+  double t_us = 0.0;
+  const auto tick = [&] { controller.set_clock_us(t_us += 10.0); };
+  tick();
+  ASSERT_TRUE(controller.migrate_vip(vip, target));
+  tick();
+  ASSERT_TRUE(controller.migrate_vip(vip, std::nullopt));
+  EXPECT_EQ(folded(), controller.journal().size());
+  std::size_t audited = controller.journal().size();
+
+  // 10k churn ops, none of which audits.
+  for (std::uint32_t i = 0; i < 2500; ++i) {
+    const Ipv4Address v{(100u << 24) + (2u << 16) + i};
+    const Ipv4Address d1{(10u << 24) + (1u << 16) + i};
+    const Ipv4Address d2{(10u << 24) + (2u << 16) + i};
+    tick();
+    controller.add_vip(v, {d1});
+    tick();
+    controller.add_dip(v, d2);
+    tick();
+    controller.remove_dip(v, d1);
+    tick();
+    controller.remove_vip(v);
+  }
+  ASSERT_GE(controller.journal().size() - audited, 5000u);
+
+  // The first migrate after the churn folds exactly what was appended since
+  // the priming migrate audited; the next one folds only its own events.
+  std::uint64_t last_delta = 0;
+  for (const std::optional<SwitchId> to : {std::optional<SwitchId>{target},
+                                           std::optional<SwitchId>{}}) {
+    const std::uint64_t folded_before = folded();
+    tick();
+    ASSERT_TRUE(controller.migrate_vip(vip, to));
+    last_delta = folded() - folded_before;
+    EXPECT_EQ(last_delta, controller.journal().size() - audited);
+    audited = controller.journal().size();
+  }
+  EXPECT_LT(last_delta, 64u) << "a migrate on a quiet journal refolded its history";
 }
 
 // --- integration: Fig-12-style failover stays clean ---------------------------

@@ -5,21 +5,82 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <new>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+
+#include <unistd.h>
 
 #include "dataplane/pipeline.h"
 #include "duet/smux.h"
 #include "dataplane/tables.h"
 #include "exec/replay.h"
 #include "net/wire.h"
+#include "persist/ctl_protocol.h"
+#include "persist/framing.h"
+#include "persist/op_log.h"
 #include "routing/rib.h"
 #include "util/random.h"
 
+// The control-plane decoder fuzzers bound every allocation a decoder makes by
+// its input's size. Outside the sanitizer builds (whose runtimes own
+// operator new) this binary's operator new records the largest request
+// while a LargestAllocation scope is open on the calling thread.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DUET_FUZZ_TRACKS_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define DUET_FUZZ_TRACKS_ALLOCATIONS 0
+#endif
+#endif
+#ifndef DUET_FUZZ_TRACKS_ALLOCATIONS
+#define DUET_FUZZ_TRACKS_ALLOCATIONS 1
+#endif
+
+namespace {
+thread_local std::size_t* g_largest_allocation = nullptr;
+}  // namespace
+
+#if DUET_FUZZ_TRACKS_ALLOCATIONS
+// Out of line, so the compiler never pairs an inlined malloc() or free()
+// with the other side's operator.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_largest_allocation != nullptr && n > *g_largest_allocation) *g_largest_allocation = n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#endif
+
 namespace duet {
 namespace {
+
+// The largest single operator-new request made on this thread while in
+// scope (always 0 in the sanitizer builds).
+class LargestAllocation {
+ public:
+  LargestAllocation() : outer_(g_largest_allocation) { g_largest_allocation = &bytes_; }
+  ~LargestAllocation() { g_largest_allocation = outer_; }
+  LargestAllocation(const LargestAllocation&) = delete;
+  LargestAllocation& operator=(const LargestAllocation&) = delete;
+  std::size_t bytes() const noexcept { return bytes_; }
+
+ private:
+  std::size_t bytes_ = 0;
+  std::size_t* outer_;
+};
+
+// What a decoder may allocate for an input of `n` bytes: a constant factor
+// of the input (element structs outweigh their encodings) plus slack for
+// fixed-size scratch.
+constexpr std::size_t allocation_bound(std::size_t n) { return 64 * n + 4096; }
 
 // --- LPM table vs. linear-scan reference ------------------------------------------
 
@@ -256,6 +317,39 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplayFuzz, ::testing::Values(11ULL, 222ULL, 0xc
 // checksum-corrected total-length corruption (the one a naive parser
 // accepts and then mis-frames).
 
+// Byte-level mutations shared with the control-plane decoder fuzzers below.
+enum class Mutation { kFlip, kTruncate, kGarbage, kCountBomb };
+
+void mutate(std::vector<std::uint8_t>& bytes, Mutation m, Rng& rng) {
+  switch (m) {
+    case Mutation::kFlip:  // flip a few random bits
+      if (bytes.empty()) break;
+      for (std::size_t k = 1 + rng.uniform(8); k > 0; --k) {
+        bytes[rng.uniform(bytes.size())] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
+      }
+      break;
+    case Mutation::kTruncate:
+      if (!bytes.empty()) bytes.resize(rng.uniform(bytes.size()));
+      break;
+    case Mutation::kGarbage:  // trailing garbage
+      for (std::size_t k = 1 + rng.uniform(24); k > 0; --k) {
+        bytes.push_back(static_cast<std::uint8_t>(rng()));
+      }
+      break;
+    case Mutation::kCountBomb: {
+      // A huge little-endian u32 anywhere: lands on a length or count field
+      // often enough to try every decoder's allocation guard.
+      if (bytes.size() < 4) break;
+      const std::uint32_t bombs[] = {0xffffffffu, 0x7fffffffu, 1u << 24, 1u << 20,
+                                     static_cast<std::uint32_t>(bytes.size())};
+      const std::uint32_t v = bombs[rng.uniform(5)];
+      const std::size_t at = rng.uniform(bytes.size() - 3);
+      for (int b = 0; b < 4; ++b) bytes[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+      break;
+    }
+  }
+}
+
 class WireFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WireFuzz, MutatedDatagramsNeverBreakTheParser) {
@@ -283,20 +377,11 @@ TEST_P(WireFuzz, MutatedDatagramsNeverBreakTheParser) {
 
     // Mutate.
     auto mutated = bytes;
-    switch (rng.uniform(4)) {
-      case 0:  // flip a few random bytes
-        for (std::size_t k = 1 + rng.uniform(8); k > 0; --k) {
-          mutated[rng.uniform(mutated.size())] ^=
-              static_cast<std::uint8_t>(1u << rng.uniform(8));
-        }
-        break;
-      case 1:  // truncate
-        mutated.resize(rng.uniform(mutated.size()));
-        break;
-      case 2:  // trailing garbage
-        for (std::size_t k = 1 + rng.uniform(24); k > 0; --k) {
-          mutated.push_back(static_cast<std::uint8_t>(rng()));
-        }
+    switch (const auto kind = rng.uniform(4)) {
+      case 0:
+      case 1:
+      case 2:
+        mutate(mutated, static_cast<Mutation>(kind), rng);
         break;
       default: {
         // Corrupt one layer's total_length, then FIX its checksum so only
@@ -327,6 +412,205 @@ TEST_P(WireFuzz, MutatedDatagramsNeverBreakTheParser) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Values(17ULL, 404ULL, 0xfeedULL));
+
+// --- Control plane: decode_request, decode_op, read_frames over mutated input ---------
+//
+// duetd decodes ops-socket frames from any local client and op-log records
+// from disk after a crash, so these decoders must be total like
+// parse_packet: never crash, never allocate more than the input can bound
+// (a claimed count must not become a reserve() — the argc bomb), and
+// anything they accept must survive a re-encode as a fixed point.
+
+class ControlFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+Mutation any_mutation(Rng& rng) { return static_cast<Mutation>(rng.uniform(4)); }
+
+std::string random_text(Rng& rng, std::size_t max_len) {
+  std::string out(rng.uniform(max_len + 1), '\0');
+  for (char& ch : out) ch = static_cast<char>(rng());
+  return out;
+}
+
+persist::Op random_op(Rng& rng) {
+  persist::Op op;
+  op.seq = rng();
+  op.t_us = static_cast<double>(rng.uniform(1u << 30)) / 8.0;
+  op.kind = static_cast<persist::OpKind>(rng.uniform(15));
+  op.vip = Ipv4Address{static_cast<std::uint32_t>(rng())};
+  op.dip = Ipv4Address{static_cast<std::uint32_t>(rng())};
+  op.sw = static_cast<std::uint32_t>(rng());
+  op.port = static_cast<std::uint16_t>(rng());
+  op.flag = rng.uniform(2) == 1;
+  op.engine = static_cast<std::uint8_t>(rng());
+  op.aggregate = Ipv4Prefix{Ipv4Address{static_cast<std::uint32_t>(rng())},
+                            static_cast<std::uint8_t>(rng.uniform(33))};
+  for (std::size_t i = rng.uniform(6); i > 0; --i) op.addrs.push_back(static_cast<std::uint32_t>(rng()));
+  for (std::size_t i = rng.uniform(4); i > 0; --i) op.weights.push_back(static_cast<std::uint32_t>(rng()));
+  for (std::size_t i = rng.uniform(3); i > 0; --i) {
+    VipDemand d;
+    d.id = static_cast<VipId>(rng.uniform(1000));
+    d.vip = Ipv4Address{static_cast<std::uint32_t>(rng())};
+    d.total_gbps = static_cast<double>(rng.uniform(1000)) / 4.0;
+    d.dip_count = rng.uniform(64);
+    for (std::size_t k = rng.uniform(3); k > 0; --k) {
+      d.ingress_gbps.emplace_back(static_cast<SwitchId>(rng.uniform(64)), 1.5);
+    }
+    for (std::size_t k = rng.uniform(3); k > 0; --k) {
+      d.dip_tor_gbps.emplace_back(static_cast<SwitchId>(rng.uniform(64)), 2.5);
+    }
+    op.demands.push_back(std::move(d));
+  }
+  return op;
+}
+
+TEST_P(ControlFuzz, MutatedRequestsNeverBreakDecodeRequest) {
+  Rng rng{GetParam()};
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<std::string> argv;
+    for (std::size_t i = rng.uniform(7); i > 0; --i) argv.push_back(random_text(rng, 20));
+    const auto bytes = persist::encode_request(argv);
+    const auto clean = persist::decode_request(bytes);
+    ASSERT_TRUE(clean.has_value()) << "iter " << iter;
+    ASSERT_EQ(*clean, argv) << "iter " << iter;
+
+    auto mutated = bytes;
+    mutate(mutated, any_mutation(rng), rng);
+    std::optional<std::vector<std::string>> decoded;
+    std::size_t largest = 0;
+    {
+      const LargestAllocation track;
+      decoded = persist::decode_request(mutated);
+      largest = track.bytes();
+    }
+    ASSERT_LE(largest, allocation_bound(mutated.size()))
+        << "iter " << iter << ": decode_request allocated " << largest << " B for "
+        << mutated.size() << " B of input";
+    // The request encoding is canonical: a survivor IS its own encoding.
+    if (decoded.has_value()) {
+      ASSERT_EQ(persist::encode_request(*decoded), mutated) << "iter " << iter;
+    }
+  }
+}
+
+TEST_P(ControlFuzz, MutatedOpsNeverBreakDecodeOp) {
+  Rng rng{GetParam()};
+  for (int iter = 0; iter < 2000; ++iter) {
+    const persist::Op op = random_op(rng);
+    const auto bytes = persist::encode_op(op);
+    const auto clean = persist::decode_op(bytes);
+    ASSERT_TRUE(clean.has_value()) << "iter " << iter;
+    ASSERT_EQ(*clean, op) << "iter " << iter;
+
+    auto mutated = bytes;
+    mutate(mutated, any_mutation(rng), rng);
+    std::optional<persist::Op> decoded;
+    std::size_t largest = 0;
+    {
+      const LargestAllocation track;
+      decoded = persist::decode_op(mutated);
+      largest = track.bytes();
+    }
+    ASSERT_LE(largest, allocation_bound(mutated.size()))
+        << "iter " << iter << ": decode_op allocated " << largest << " B for " << mutated.size()
+        << " B of input";
+    // Flags and prefixes canonicalize, so the fixed point is one re-encode
+    // away: encode(decode(encode(x))) == encode(x).
+    if (decoded.has_value()) {
+      const auto wire = persist::encode_op(*decoded);
+      const auto again = persist::decode_op(wire);
+      ASSERT_TRUE(again.has_value()) << "iter " << iter;
+      ASSERT_EQ(persist::encode_op(*again), wire) << "iter " << iter;
+    }
+  }
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::vector<std::uint8_t> out;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    std::uint8_t chunk[4096];
+    for (std::size_t n; (n = std::fread(chunk, 1, sizeof(chunk), f)) > 0;) {
+      out.insert(out.end(), chunk, chunk + n);
+    }
+    std::fclose(f);
+  }
+  return out;
+}
+
+void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+TEST_P(ControlFuzz, MutatedFilesNeverBreakReadFrames) {
+  char tmpl[] = "/tmp/duet_fuzz_frames_XXXXXX";
+  const char* made = ::mkdtemp(tmpl);
+  ASSERT_NE(made, nullptr);
+  const std::string dir = made;
+  const std::string clean_path = dir + "/clean";
+  const std::string mutated_path = dir + "/mutated";
+  const std::string rewritten_path = dir + "/rewritten";
+  Rng rng{GetParam()};
+  for (int iter = 0; iter < 300; ++iter) {
+    // A log of op records and odd-typed frames, written the way OpLog does.
+    std::vector<persist::Frame> frames;
+    for (std::size_t i = rng.uniform(6); i > 0; --i) {
+      persist::Frame fr;
+      fr.type = static_cast<std::uint8_t>(rng());
+      fr.payload = rng.uniform(2) == 0 ? persist::encode_op(random_op(rng))
+                                       : std::vector<std::uint8_t>(rng.uniform(40), 0x5a);
+      frames.push_back(std::move(fr));
+    }
+    std::filesystem::remove(clean_path);
+    {
+      auto w = persist::FrameWriter::open(clean_path, persist::kOpLogMagic,
+                                          persist::FsyncPolicy::kNone);
+      ASSERT_TRUE(w.has_value());
+      for (const auto& fr : frames) ASSERT_TRUE(w->append(fr.type, fr.payload));
+    }
+    const auto clean = persist::read_frames(clean_path, persist::kOpLogMagic);
+    ASSERT_TRUE(clean.ok() && !clean.truncated_tail) << "iter " << iter;
+    ASSERT_EQ(clean.frames.size(), frames.size()) << "iter " << iter;
+
+    auto mutated = read_file(clean_path);
+    mutate(mutated, any_mutation(rng), rng);
+    write_file(mutated_path, mutated);
+    persist::ReadFramesResult got;
+    std::size_t largest = 0;
+    {
+      const LargestAllocation track;
+      got = persist::read_frames(mutated_path, persist::kOpLogMagic);
+      largest = track.bytes();
+    }
+    ASSERT_LE(largest, allocation_bound(mutated.size()))
+        << "iter " << iter << ": read_frames allocated " << largest << " B for a "
+        << mutated.size() << " B file";
+    if (!got.ok()) continue;
+    ASSERT_LE(got.valid_bytes, mutated.size()) << "iter " << iter;
+
+    // What survived is a clean log: rewritten, it reads back identically,
+    // whole, with no torn tail.
+    std::filesystem::remove(rewritten_path);
+    {
+      auto w = persist::FrameWriter::open(rewritten_path, persist::kOpLogMagic,
+                                          persist::FsyncPolicy::kNone);
+      ASSERT_TRUE(w.has_value());
+      for (const auto& fr : got.frames) ASSERT_TRUE(w->append(fr.type, fr.payload));
+    }
+    const auto again = persist::read_frames(rewritten_path, persist::kOpLogMagic);
+    ASSERT_TRUE(again.ok() && !again.truncated_tail) << "iter " << iter;
+    ASSERT_EQ(again.frames.size(), got.frames.size()) << "iter " << iter;
+    for (std::size_t i = 0; i < got.frames.size(); ++i) {
+      ASSERT_EQ(again.frames[i].type, got.frames[i].type) << "iter " << iter;
+      ASSERT_EQ(again.frames[i].payload, got.frames[i].payload) << "iter " << iter;
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ControlFuzz, ::testing::Values(9ULL, 2014ULL, 0xd0e7ULL));
 
 // --- Smux flow-table consistency under churn -------------------------------------------
 

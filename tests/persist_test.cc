@@ -928,6 +928,28 @@ TEST(PersistDaemon, MutateCrashRecoverServesRecoveredState) {
   third.stop(false);
 }
 
+TEST(PersistDaemon, StopReturnsWithoutWaitingOutTheOpsPoll) {
+  // The ops thread waits on its listening socket; stop() must interrupt that
+  // wait, not let it time out. Three daemons, each idle long enough that the
+  // ops thread is blocked when stop() arrives.
+  for (int run = 0; run < 3; ++run) {
+    TempDir dir;
+    DuetdOptions opts;
+    opts.data_dir = dir.path();
+    opts.port = 0;
+    opts.mux_workers = 1;
+    Duetd daemon{opts};
+    std::string error;
+    if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto t0 = std::chrono::steady_clock::now();
+    daemon.stop(/*snapshot=*/false);
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    EXPECT_LT(ms, 50.0) << "stop() took " << ms << " ms (run " << run << ")";
+  }
+}
+
 TEST(PersistDaemon, AddVipServesWithoutWaitingForTheTick) {
   auto probe = runtime::UdpSocket::bind(runtime::Endpoint{Ipv4Address{127, 0, 0, 1}, 0});
   if (!probe.has_value()) GTEST_SKIP() << "no loopback UDP sockets in this sandbox";

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -46,6 +47,13 @@ bool loopback_available() {
     if (!loopback_available()) {                                  \
       GTEST_SKIP() << "no loopback UDP sockets in this sandbox";  \
     }                                                             \
+  } while (0)
+
+// The echo pool is Linux-only (IP_PKTINFO, SO_BINDTODEVICE).
+#define REQUIRE_ECHO_POOL()                                               \
+  do {                                                                    \
+    REQUIRE_LOOPBACK();                                                   \
+    if (!kFakeDipPoolAvailable) GTEST_SKIP() << "no echo pool off Linux"; \
   } while (0)
 
 // --- Stamp ------------------------------------------------------------------------
@@ -258,7 +266,7 @@ struct LiveFixture {
 };
 
 TEST(MuxServerLive, FlowsLandOnTheDipPureSimulationPredicts) {
-  REQUIRE_LOOPBACK();
+  REQUIRE_ECHO_POOL();
   LiveFixture fx;
   MuxServerOptions mopts;
   mopts.workers = 2;
@@ -320,7 +328,7 @@ TEST(MuxServerLive, FlowsLandOnTheDipPureSimulationPredicts) {
 }
 
 TEST(MuxServerLive, OpenLoopDrainsCleanlyOnShutdown) {
-  REQUIRE_LOOPBACK();
+  REQUIRE_ECHO_POOL();
   LiveFixture fx;
   MuxServerOptions mopts;
   mopts.workers = 1;
@@ -358,7 +366,7 @@ TEST(MuxServerLive, OpenLoopDrainsCleanlyOnShutdown) {
 }
 
 TEST(MuxServerLive, MalformedIngressCountsAsParseFailureNotCrash) {
-  REQUIRE_LOOPBACK();
+  REQUIRE_ECHO_POOL();
   LiveFixture fx;
   MuxServerOptions mopts;
   mopts.workers = 1;
@@ -391,7 +399,7 @@ TEST(MuxServerLive, MalformedIngressCountsAsParseFailureNotCrash) {
 constexpr int kNoTickMs = 60000;
 
 TEST(MuxServerLive, LiveUpdatesServeWithoutWaitingForTheTick) {
-  REQUIRE_LOOPBACK();
+  REQUIRE_ECHO_POOL();
   FakeDipPool::Options dopts;
   dopts.tick_ms = kNoTickMs;
   FakeDipPool dips{dopts};
@@ -429,7 +437,7 @@ TEST(MuxServerLive, LiveUpdatesServeWithoutWaitingForTheTick) {
 }
 
 TEST(MuxServerLive, StatelessVipReturnsToTheFastTierAfterADipChange) {
-  REQUIRE_LOOPBACK();
+  REQUIRE_ECHO_POOL();
   DuetConfig cfg;
   cfg.smux_engine = SmuxEngine::kStateless;
   cfg.stateless_drain_idle_us = 20e3;  // old versions drain after 20 ms idle
@@ -477,7 +485,7 @@ TEST(MuxServerLive, StatelessVipReturnsToTheFastTierAfterADipChange) {
 }
 
 TEST(MuxServerLive, StatefulServerNeverRebuildsAnEmptyFastTier) {
-  REQUIRE_LOOPBACK();
+  REQUIRE_ECHO_POOL();
   // The default (stateful) engine admits nothing, so a VIP change on a
   // worker whose table is empty must not walk the VIPs or swap a table.
   FakeDipPool::Options dopts;
@@ -540,11 +548,58 @@ long resident_bytes() {
   return got == 2 ? resident * ::sysconf(_SC_PAGESIZE) : -1;
 }
 
+// Open file descriptors of this process, or -1 where /proc/self/fd is
+// unavailable.
+long open_fds() {
+  std::error_code ec;
+  long n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/fd", ec), end; !ec && it != end;
+       it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
+}
+
+// An IP-in-IP datagram for `outer_dst` whose inner packet comes from
+// `inner_src` to the client's port, so its echo names the datagram.
+std::vector<std::uint8_t> encapsulated(Ipv4Address inner_src, std::uint16_t client_port,
+                                       Ipv4Address outer_dst) {
+  const FiveTuple t{inner_src, Ipv4Address{100, 0, 9, 1}, client_port, 80, IpProto::kUdp};
+  const auto inner = serialize_packet(Packet{t, 64});
+  std::vector<std::uint8_t> wire(inner.size() + kIpv4HeaderBytes);
+  encapsulate_on_wire(inner, EncapHeader{Ipv4Address{192, 0, 2, 100}, outer_dst}, wire);
+  return wire;
+}
+
+struct Echo {
+  Ipv4Address inner_src;  // names the datagram that was echoed
+  Endpoint from;          // the identity that answered
+};
+
+// Echoes reaching `client` until `want` arrived or `timeout_ms` passed.
+std::vector<Echo> collect_echoes(const UdpSocket& client, std::size_t want, int timeout_ms) {
+  BatchIo io(64);
+  std::vector<RxPacket> rx(io.batch());
+  std::vector<Echo> got;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (got.size() < want && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{client.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, 10) <= 0) continue;
+    const std::size_t n = io.recv_batch(client.fd(), rx);
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto echo = parse_packet(rx[k].bytes);
+      EXPECT_TRUE(echo.has_value()) << "an echo did not parse";
+      if (echo.has_value()) got.push_back(Echo{echo->tuple().src, rx[k].from});
+    }
+  }
+  return got;
+}
+
 TEST(FakeDipPool, ManyLiveDipsShareOneArena) {
-  REQUIRE_LOOPBACK();
+  REQUIRE_ECHO_POOL();
   // As many echo DIPs as duetbench's 64x8 workloads, added to a RUNNING
-  // pool. A per-DIP 64 x 2 KB I/O arena would cost ~68 MB here; the pool's
-  // one shared arena costs nothing per DIP.
+  // pool. A per-DIP 64 x 2 KB I/O arena would cost ~68 MB here, and a
+  // per-DIP socket 512 fds; the pool's one socket and arena cost neither.
   constexpr std::size_t kDips = 512;
   constexpr long kMaxGrowthBytes = 8L << 20;
   FakeDipPool dips;
@@ -555,49 +610,48 @@ TEST(FakeDipPool, ManyLiveDipsShareOneArena) {
   std::vector<Ipv4Address> addrs;
   std::vector<Endpoint> ats;
   const long rss_before = resident_bytes();
+  const long fds_before = open_fds();
   for (std::size_t i = 0; i < kDips; ++i) {
     addrs.emplace_back(static_cast<std::uint32_t>((10u << 24) + (50u << 16) + i + 1));
     const auto at = dips.add_dip(addrs.back());
-    ASSERT_TRUE(at.has_value()) << "bind failed at DIP " << i;
+    ASSERT_TRUE(at.has_value()) << "no endpoint for DIP " << i;
     ats.push_back(*at);
   }
   const long rss_after = resident_bytes();
+  const long fds_after = open_fds();
   if (rss_before >= 0 && rss_after >= 0) {
     EXPECT_LT(rss_after - rss_before, kMaxGrowthBytes)
         << "RSS grew " << (rss_after - rss_before) / 1024 << " KB for " << kDips << " DIPs";
   }
+  if (fds_before >= 0 && fds_after >= 0) {
+    EXPECT_EQ(fds_after, fds_before) << "adding " << kDips << " DIPs opened file descriptors";
+  }
+  // Every identity is its own loopback endpoint, none of them 127.0.0.1.
+  std::unordered_map<Endpoint, std::size_t> owner;
+  for (std::size_t i = 0; i < kDips; ++i) {
+    EXPECT_TRUE(owner.emplace(ats[i], i).second)
+        << "DIPs " << owner[ats[i]] << " and " << i << " share " << ats[i].to_string();
+    EXPECT_EQ(ats[i].addr.value() >> 24, 127u) << ats[i].to_string();
+    EXPECT_NE(ats[i].addr, kLoopback);
+  }
 
   // One encapsulated datagram per DIP. The inner source address carries the
   // DIP's index, so each echo names the DIP it was sent to.
+  const Ipv4Address kSrcBase{10, 60, 0, 0};
   for (std::size_t i = 0; i < kDips; ++i) {
-    const FiveTuple t{Ipv4Address{static_cast<std::uint32_t>((10u << 24) + (60u << 16) + i)},
-                      Ipv4Address{100, 0, 9, 1}, client->local().port, 80, IpProto::kUdp};
-    const auto inner = serialize_packet(Packet{t, 64});
-    std::vector<std::uint8_t> wire(inner.size() + kIpv4HeaderBytes);
-    ASSERT_EQ(encapsulate_on_wire(inner, EncapHeader{Ipv4Address{192, 0, 2, 100}, addrs[i]}, wire),
-              wire.size());
+    const auto wire = encapsulated(Ipv4Address{static_cast<std::uint32_t>(kSrcBase.value() + i)},
+                                   client->local().port, addrs[i]);
     ASSERT_TRUE(client->send_to(wire, ats[i]));
   }
-  BatchIo io(64);
-  std::vector<RxPacket> rx(io.batch());
   std::vector<int> echoes(kDips, 0);
-  std::size_t received = 0;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (received < kDips && std::chrono::steady_clock::now() < deadline) {
-    pollfd pfd{client->fd(), POLLIN, 0};
-    if (::poll(&pfd, 1, 100) <= 0) continue;
-    const std::size_t n = io.recv_batch(client->fd(), rx);
-    for (std::size_t k = 0; k < n; ++k) {
-      const auto echo = parse_packet(rx[k].bytes);
-      ASSERT_TRUE(echo.has_value()) << "an echo did not parse";
-      const std::size_t i = echo->tuple().src.value() - ((10u << 24) + (60u << 16));
-      ASSERT_LT(i, kDips);
-      EXPECT_EQ(rx[k].from, ats[i]) << "DIP " << i << " answered from another endpoint";
-      ++echoes[i];
-      ++received;
-    }
+  const auto got = collect_echoes(*client, kDips, 5000);
+  EXPECT_EQ(got.size(), kDips);
+  for (const Echo& e : got) {
+    const std::size_t i = e.inner_src.value() - kSrcBase.value();
+    ASSERT_LT(i, kDips);
+    EXPECT_EQ(e.from, ats[i]) << "DIP " << i << " answered from another endpoint";
+    ++echoes[i];
   }
-  EXPECT_EQ(received, kDips);
   dips.shutdown();
   dips.join();
   for (std::size_t i = 0; i < kDips; ++i) {
@@ -605,6 +659,99 @@ TEST(FakeDipPool, ManyLiveDipsShareOneArena) {
     EXPECT_EQ(dips.packets_at(addrs[i]), 1u) << "DIP " << i;
     EXPECT_EQ(dips.rejects_at(addrs[i]), 0u) << "DIP " << i;
   }
+}
+
+TEST(FakeDipPool, DatagramForAnotherDipIsRejectedNotEchoed) {
+  REQUIRE_ECHO_POOL();
+  FakeDipPool dips;
+  const Ipv4Address a{10, 70, 0, 1};
+  const Ipv4Address b{10, 70, 0, 2};
+  const auto at_a = dips.add_dip(a);
+  const auto at_b = dips.add_dip(b);
+  ASSERT_TRUE(at_a.has_value() && at_b.has_value());
+  ASSERT_TRUE(dips.start());
+  auto client = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(client.has_value());
+
+  // At A's endpoint but tunneled to B (a mux that mapped B onto A's
+  // endpoint), then a good one: the socket is FIFO, so once the good echo
+  // is back the bad datagram was handled.
+  const Ipv4Address bad_src{10, 71, 0, 1};
+  const Ipv4Address good_src{10, 71, 0, 2};
+  ASSERT_TRUE(client->send_to(encapsulated(bad_src, client->local().port, b), *at_a));
+  ASSERT_TRUE(client->send_to(encapsulated(good_src, client->local().port, a), *at_a));
+  auto got = collect_echoes(*client, 1, 1000);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].inner_src, good_src);
+  EXPECT_EQ(got[0].from, *at_a);
+  got = collect_echoes(*client, 1, 50);
+  EXPECT_TRUE(got.empty()) << "the datagram for B was echoed";
+
+  dips.shutdown();
+  dips.join();
+  EXPECT_EQ(dips.packets_at(a), 2u);
+  EXPECT_EQ(dips.rejects_at(a), 1u);
+  EXPECT_EQ(dips.packets_at(b), 0u);
+  EXPECT_EQ(dips.rejects_at(b), 0u);
+}
+
+TEST(FakeDipPool, UnregisteredAddressOnThePoolsPortIsNotEchoed) {
+  REQUIRE_ECHO_POOL();
+  FakeDipPool dips;
+  const Ipv4Address dip{10, 72, 0, 1};
+  const auto at = dips.add_dip(dip);
+  ASSERT_TRUE(at.has_value());
+  ASSERT_TRUE(dips.start());
+  auto client = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(client.has_value());
+
+  // Valid IP-in-IP for the registered DIP, but sent to loopback addresses
+  // that are no DIP's identity (127.0.0.1 never is), then a good datagram.
+  const Ipv4Address stray_src{10, 73, 0, 1};
+  const Ipv4Address good_src{10, 73, 0, 2};
+  for (const Ipv4Address stranger : {Ipv4Address{127, 0, 0, 1}, Ipv4Address{127, 0, 200, 9}}) {
+    ASSERT_TRUE(client->send_to(encapsulated(stray_src, client->local().port, dip),
+                                Endpoint{stranger, at->port}));
+  }
+  ASSERT_TRUE(client->send_to(encapsulated(good_src, client->local().port, dip), *at));
+  auto got = collect_echoes(*client, 1, 1000);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].inner_src, good_src);
+  got = collect_echoes(*client, 1, 50);
+  EXPECT_TRUE(got.empty()) << "a datagram to an unregistered address was echoed";
+
+  dips.shutdown();
+  dips.join();
+  EXPECT_EQ(dips.packets_at(dip), 1u);
+  EXPECT_EQ(dips.rejects_at(dip), 0u);
+  EXPECT_EQ(dips.total_packets(), 1u);
+}
+
+TEST(FakeDipPool, LiveAddEchoesTheFreshDipsFirstDatagram) {
+  REQUIRE_ECHO_POOL();
+  // Ticks far longer than the deadline: the add must not wait on the loop.
+  FakeDipPool::Options dopts;
+  dopts.tick_ms = kNoTickMs;
+  FakeDipPool dips{dopts};
+  ASSERT_TRUE(dips.start());
+  auto client = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(client.has_value());
+
+  for (std::uint8_t i = 1; i <= 8; ++i) {
+    const Ipv4Address dip{10, 74, 0, i};
+    const auto at = dips.add_dip(dip);
+    ASSERT_TRUE(at.has_value());
+    // Sent the instant add_dip returns, and sent once: no retry hides a
+    // datagram that arrived before the pool knew the DIP.
+    const Ipv4Address src{10, 75, 0, i};
+    ASSERT_TRUE(client->send_to(encapsulated(src, client->local().port, dip), *at));
+    const auto got = collect_echoes(*client, 1, 1000);
+    ASSERT_EQ(got.size(), 1u) << "fresh DIP " << int{i} << " never echoed";
+    EXPECT_EQ(got[0].inner_src, src);
+    EXPECT_EQ(got[0].from, *at);
+  }
+  dips.shutdown();
+  dips.join();
 }
 
 }  // namespace
