@@ -10,10 +10,11 @@
 //      validated EXACTLY against measured points before being trusted.
 //   2. LOOKUP COST: steady-state ns/packet per engine at each flow count
 //      (stateful = pin hit, stateless = bucket lookup).
-//   3. SYN FLOOD: the deterministic flood scenario (stateless/flood_scenario)
-//      through both engines. Gates: the stateless engine records ZERO PCC
-//      violations, ZERO evictions, and ZERO flow entries — there is no
-//      per-flow state for the flood to exhaust.
+//   3. SYN FLOOD: one chaos plan (src/chaos) composing a distinct-tuple SYN
+//      flood with background DIP churn, replayed through both engines.
+//      Gates: the stateless engine records ZERO PCC violations, ZERO
+//      evictions, and ZERO flow entries — there is no per-flow state for the
+//      flood to exhaust.
 //
 // DUET_STATELESS_RELAX=1 turns gate failures into warnings (loaded dev
 // machines). Results land in BENCH_stateless.json.
@@ -23,13 +24,15 @@
 #include <cstdlib>
 #include <vector>
 
+#include "chaos/plan.h"
+#include "chaos/runner.h"
 #include "common.h"
 #include "duet/config.h"
 #include "duet/smux.h"
 #include "net/hash.h"
 #include "net/packet.h"
-#include "stateless/flood_scenario.h"
 #include "stateless/stateless_engine.h"
+#include "util/mix.h"
 
 using namespace duet;
 
@@ -235,20 +238,35 @@ int main() {
   }
 
   // --- SYN flood --------------------------------------------------------------
-  stateless::FloodParams fp;
-  if (!quick) {
-    fp.established_flows = 2048;
-    fp.flood_tuples = 65'536;
-    fp.flow_table_cap = 4096;
-  }
-  DuetConfig flood_cfg;
-  const stateless::FloodReport flood = stateless::run_flood_scenario(fp, flood_cfg, 0xf100d);
+  // R rounds of distinct spoofed tuples, keepalives for every established
+  // flow and one DIP churn op, then a final keepalive pass. Version
+  // retention stays at the DuetConfig default, not the chaos suite's
+  // unbounded setting: the gates must hold under the shipped knobs.
+  constexpr std::uint64_t kFloodSeed = 0xf100d;
+  constexpr std::size_t kFloodRounds = 8;
+  chaos::ChaosEnv env;
+  env.ticks = kFloodRounds + 1;
+  env.established_flows = quick ? 512 : 2048;
+  env.flow_table_cap = quick ? 1024 : 4096;
+  env.unbounded_versions = false;
+  env.traffic_seed = kFloodSeed;
+  chaos::SynFloodParams syn;
+  syn.tuples_total = quick ? 8192 : 65'536;
+  syn.end_tick = kFloodRounds;
+  chaos::RandomChurnParams churn;
+  churn.end_tick = kFloodRounds + 1;
+  const chaos::ChaosReport flood = chaos::run_chaos(
+      chaos::compose_plan("flood", env,
+                          {chaos::syn_flood(syn, env, kFloodSeed),
+                           chaos::random_churn(churn, env,
+                                               mix64(kFloodSeed ^ 0x9e3779b97f4a7c15ULL))}),
+      DuetConfig{});
 
   std::printf("\nSYN flood: %zu established, %zu spoofed tuples, %zu rounds, cap %zu\n",
-              fp.established_flows, fp.flood_tuples, fp.rounds, fp.flow_table_cap);
+              env.established_flows, syn.tuples_total, kFloodRounds, env.flow_table_cap);
   TablePrinter tf{{"engine", "pcc violations", "legal remaps", "evictions", "entries peak",
                    "state B"}};
-  const auto flood_row = [&](const char* name, const stateless::EngineFloodReport& r) {
+  const auto flood_row = [&](const char* name, const chaos::EngineChaosReport& r) {
     tf.add_row({name, TablePrinter::fmt(static_cast<double>(r.pcc_violations), "%.0f"),
                 TablePrinter::fmt(static_cast<double>(r.legal_remaps), "%.0f"),
                 TablePrinter::fmt(static_cast<double>(r.evictions), "%.0f"),

@@ -27,8 +27,6 @@
 //   duetctl remove-vip  --socket S VIP
 //   duetctl set-engine  --socket S VIP stateful|stateless|clear
 //   duetctl migrate     --socket S VIP SWITCH|smux   §4.2 two-phase move
-//   duetctl rebuild-fast-tier --socket S       journal + re-snapshot the
-//                                              workers' hot-VIP fast tier
 //   duetctl stats       --socket S             seq/recovery/serving counters
 //                                              (incl. fast-tier hits/misses/
 //                                              rebuilds)
@@ -69,8 +67,6 @@
 //                                         versioned map, no per-flow state)
 //   --pin-cpus                            serve: pin worker i to CPU (i mod
 //                                         online CPUs); DUET_CPU_PIN overrides
-//   --no-fast-tier                        serve: disable the in-process
-//                                         hot-VIP fast tier (DESIGN.md §17)
 //   --pps R --flows N --sockets N         load shape (pps 0 = closed loop)
 //   --packets N --bytes B                 load: closed-loop count, datagram size
 //
@@ -131,21 +127,23 @@ struct Args {
   double duration_s = 0.0, stats_interval_s = 5.0, pps = 0.0;
   SmuxEngine engine = SmuxEngine::kStateful;
   bool pin_cpus = false;   // serve: pin worker i to CPU (i mod online)
-  bool fast_tier = true;   // serve: in-process hot-VIP fast tier
 };
 
 bool parse_args(int argc, char** argv, Args& a) {
   if (argc < 2) return false;
   a.command = argv[1];
+  static constexpr const char* kLocalCommands[] = {"plan",  "gen",   "replay", "stats",
+                                                   "audit", "serve", "load"};
+  if (std::find(std::begin(kLocalCommands), std::end(kLocalCommands), a.command) ==
+      std::end(kLocalCommands)) {
+    std::fprintf(stderr, "duetctl: unknown command: %s\n", a.command.c_str());
+    return false;
+  }
   for (int i = 2; i < argc; ++i) {
     const std::string key = argv[i];
     // Valueless flags first; everything else is a key/value pair.
     if (key == "--pin-cpus") {
       a.pin_cpus = true;
-      continue;
-    }
-    if (key == "--no-fast-tier") {
-      a.fast_tier = false;
       continue;
     }
     if (i + 1 >= argc) break;  // trailing key without a value: ignore
@@ -289,7 +287,6 @@ int cmd_serve(const Args& a) {
   mo.stats_json_path = a.json_file;
   mo.hasher = FlowHasher{a.seed};
   mo.pin_cpus = a.pin_cpus;
-  mo.fast_tier = a.fast_tier;
   DuetConfig cfg;
   cfg.smux_engine = a.engine;  // every worker's Smux decides with this engine
   runtime::MuxServer mux{mo, cfg};
@@ -429,7 +426,7 @@ int cmd_load(const Args& a) {
 bool is_client_command(const std::string& cmd) {
   return cmd == "ping" || cmd == "add-vip" || cmd == "add-dip" || cmd == "remove-dip" ||
          cmd == "remove-vip" || cmd == "set-engine" || cmd == "migrate" || cmd == "stats" ||
-         cmd == "audit" || cmd == "snapshot" || cmd == "drain" || cmd == "rebuild-fast-tier";
+         cmd == "audit" || cmd == "snapshot" || cmd == "drain";
 }
 
 // Exit contract (documented in the header comment / usage): 0 ok, 1 duetd
@@ -498,11 +495,11 @@ int main(int argc, char** argv) {
                  "       [--vips N] [--gbps G] [--epochs E] [--replicas R] [--trace FILE]\n"
                  "       [--seed S] [--json FILE] [--threads N]\n"
                  "  serve: [--port P] [--workers N] [--vips N] [--dips N] [--duration S]\n"
-                 "         [--stats-interval S] [--json FILE] [--pin-cpus] [--no-fast-tier]\n"
+                 "         [--stats-interval S] [--json FILE] [--pin-cpus]\n"
                  "  load:  --port P [--pps R] [--duration S] [--packets N] [--flows N]\n"
                  "         [--sockets N] [--bytes B] [--json FILE]\n"
                  "ops-socket client (against a running duetd):\n"
-                 "  duetctl ping|stats|audit|snapshot|drain|rebuild-fast-tier --socket PATH\n"
+                 "  duetctl ping|stats|audit|snapshot|drain --socket PATH\n"
                  "  duetctl add-vip VIP DIP... | add-dip VIP DIP | remove-dip VIP DIP |\n"
                  "          remove-vip VIP | set-engine VIP stateful|stateless|clear |\n"
                  "          migrate VIP SWITCH|smux   (all with --socket PATH)\n"

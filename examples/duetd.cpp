@@ -22,7 +22,6 @@
 //                         stable across restarts of one data dir)
 //   --duration S          exit (with a shutdown snapshot) after S seconds
 //   --pin-cpus            pin worker i to CPU (i mod online CPUs)
-//   --no-fast-tier        disable the in-process hot-VIP fast tier
 //
 // SIGTERM/SIGINT snapshot first, then drain — the next boot replays zero
 // ops. SIGKILL recovery replays the op log instead; both land in the same
@@ -49,7 +48,7 @@ int usage() {
                "usage: duetd --dir PATH [--socket PATH] [--port P] [--workers N]\n"
                "             [--fsync none|every] [--snapshot-every N]\n"
                "             [--engine stateful|stateless] [--seed S] [--duration S]\n"
-               "             [--pin-cpus] [--no-fast-tier]\n");
+               "             [--pin-cpus]\n");
   return 2;
 }
 
@@ -63,10 +62,6 @@ int main(int argc, char** argv) {
     // Valueless flags first; everything else is a key/value pair.
     if (key == "--pin-cpus") {
       opts.pin_cpus = true;
-      continue;
-    }
-    if (key == "--no-fast-tier") {
-      opts.fast_tier = false;
       continue;
     }
     if (i + 1 >= argc) return usage();

@@ -8,9 +8,10 @@
 //   * smuxes_required() — enough SMuxes that none exceeds its capacity;
 //   * median_latency_us() — DC RTT plus the SMux queueing latency at the
 //     per-SMux load implied by N.
-// An operational pool (AnantaPool) is also provided for data-path tests and
-// examples, including the fast-path option (§2.1) that lets inter-service
-// traffic bypass the muxes at the cost of VIP indirection.
+// An operational pool (AnantaPool) models the §2.1 data path, including the
+// fast-path option that lets inter-service traffic bypass the muxes at the
+// cost of VIP indirection. Only the unit tests drive it; no bench or example
+// does (scripts/reach_baseline.txt).
 #pragma once
 
 #include <cstdint>

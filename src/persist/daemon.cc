@@ -83,7 +83,6 @@ bool Duetd::start(std::string* error) {
   mo.listen.port = opts_.port;
   mo.workers = opts_.mux_workers == 0 ? 1 : opts_.mux_workers;
   mo.pin_cpus = opts_.pin_cpus;
-  mo.fast_tier = opts_.fast_tier;
   mo.hasher = FlowHasher{opts_.seed};
   mo.vip_aggregate = kVipAggregate;
   mux_ = std::make_unique<runtime::MuxServer>(mo, cfg);
@@ -98,11 +97,6 @@ bool Duetd::start(std::string* error) {
     dips_.join();
     return set_error("failed to bind the serving socket");
   }
-  // Replay contained an explicit fast-tier rebuild (a serving-plane
-  // directive the controller no-ops): re-drive it now that the workers are
-  // up, so the recovered hot-VIP set is re-admitted without waiting for the
-  // next config churn.
-  if (store_->recovery().fast_tier_rebuilds > 0) mux_->rebuild_fast_tier();
 
   std::string listen_error = "cannot watch the listening socket";
   listen_fd_ = ctl_listen(socket_path_, &listen_error);
@@ -236,22 +230,6 @@ CtlResponse Duetd::handle(const std::vector<std::string>& argv) {
                   static_cast<unsigned long long>(fm != nullptr ? fm->value() : 0),
                   static_cast<unsigned long long>(fr != nullptr ? fr->value() : 0));
     return ok(text + buf);
-  }
-
-  if (cmd == "rebuild-fast-tier") {
-    // Journal first (WAL contract), then kick the live workers. The op
-    // records the VIP set serving at journal time; admission itself is
-    // recomputed at rebuild from the replica's engine/port-rule/settledness
-    // state, so replay converges on the same tier the original run had.
-    Op op;
-    op.kind = OpKind::kFastTierRebuild;
-    for (const Ipv4Address v : ctl.vip_addresses()) op.addrs.push_back(v.value());
-    const auto n = op.addrs.size();
-    auto response = apply_checked(std::move(op),
-                                  "fast tier rebuilding on all workers (" +
-                                      std::to_string(n) + " candidate VIPs journaled)");
-    if (response.ok()) mux_->rebuild_fast_tier();
-    return response;
   }
 
   if (cmd == "audit") {

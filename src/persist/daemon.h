@@ -68,9 +68,6 @@ struct DuetdOptions {
   std::size_t mux_workers = 1;
   // Pin worker i to CPU (i mod online CPUs); see MuxServerOptions::pin_cpus.
   bool pin_cpus = false;
-  // In-process hot-VIP fast tier (DESIGN.md §17); on by default, admission
-  // is automatic so a stateful deployment is unaffected either way.
-  bool fast_tier = true;
 };
 
 class Duetd {

@@ -1,7 +1,6 @@
 // CRC32-framed append-only record files — the durability substrate shared by
-// the controller op journal (persist/op_log.h), state snapshots
-// (persist/state_image.h), and binary telemetry-journal exports
-// (persist/journal_io.h).
+// the controller op journal (persist/op_log.h) and state snapshots
+// (persist/state_image.h).
 //
 // File layout:  [8-byte magic][record]*
 // Record:       [u32 payload_len][u8 type][u32 crc32(type ++ payload)][payload]

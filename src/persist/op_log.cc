@@ -76,7 +76,6 @@ const char* to_string(OpKind kind) noexcept {
     case OpKind::kSwitchFailure: return "switch-failure";
     case OpKind::kSmuxFailure: return "smux-failure";
     case OpKind::kMigrateVip: return "migrate-vip";
-    case OpKind::kFastTierRebuild: return "rebuild-fast-tier";
   }
   return "unknown";
 }
@@ -190,11 +189,6 @@ bool apply_op(DuetController& controller, const Op& op) {
       controller.migrate_vip(op.vip, op.sw == kInvalidSwitch
                                          ? std::nullopt
                                          : std::optional<SwitchId>(op.sw));
-      return true;
-    case OpKind::kFastTierRebuild:
-      // Serving-plane directive: no controller state changes. daemon.cc
-      // notices it during replay and re-requests the rebuild on the live mux
-      // once the workers are up.
       return true;
   }
   return false;  // version skew: a kind this build does not know

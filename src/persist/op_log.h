@@ -51,11 +51,8 @@ enum class OpKind : std::uint8_t {
   kSwitchFailure = 11,   // sw
   kSmuxFailure = 12,     // sw = smux id
   kMigrateVip = 13,      // vip, sw = target (kInvalidSwitch = to SMux pool)
-  // Runtime directive, not controller state: duetd re-snapshots the serving
-  // workers' in-process fast tier (MuxServer::rebuild_fast_tier). addrs
-  // records the hot-VIP set admitted at journal time so recovery can rebuild
-  // the same tier after replay; the controller itself applies it as a no-op.
-  kFastTierRebuild = 14,  // addrs = admitted hot VIPs
+  // 14 is retired (a serving-plane cache directive, never controller state)
+  // and must not be reused: a log that holds it is refused as version skew.
 };
 
 const char* to_string(OpKind kind) noexcept;

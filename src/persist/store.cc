@@ -56,7 +56,6 @@ std::unique_ptr<PersistentController> PersistentController::open(
     }
     pc->last_seq_ = op.seq;
     ++pc->recovery_.replayed;
-    if (op.kind == OpKind::kFastTierRebuild) ++pc->recovery_.fast_tier_rebuilds;
     pc->recovery_.recovered = true;
   }
 

@@ -43,10 +43,6 @@ struct RecoveryInfo {
   bool recovered = false;  // any state came from disk (snapshot or ops)
   std::uint64_t snapshot_seq = 0;
   std::uint64_t replayed = 0;       // ops applied on top of the snapshot
-  // kFastTierRebuild ops among the replayed suffix: a serving-plane
-  // directive the controller no-ops, so duetd must re-drive it against the
-  // live mux once the workers are up.
-  std::uint64_t fast_tier_rebuilds = 0;
   bool truncated_tail = false;      // a torn final op was cut
   double recover_ms = 0.0;          // restore + replay + boot audit
   std::string audit_summary;        // boot-audit result ("clean" or details)

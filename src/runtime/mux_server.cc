@@ -30,12 +30,12 @@ struct StatCell {
 }  // namespace
 
 struct MuxServer::PendingUpdate {
-  enum class Kind : std::uint8_t { kSetVip, kRemoveVip, kMapDip };
+  enum class Kind : std::uint8_t { kSetVip, kRemoveVip };
   Kind kind = Kind::kSetVip;
   Ipv4Address vip;
   std::vector<Ipv4Address> dips;
   std::vector<std::uint32_t> weights;
-  std::vector<DipEndpoint> maps;  // applied first, whatever the kind
+  std::vector<DipEndpoint> maps;  // fresh DIP endpoints, applied before the VIP change
 };
 
 struct MuxServer::Worker {
@@ -75,7 +75,6 @@ struct MuxServer::Worker {
   // VIP churn since the last snapshot, or VIPs the last build rejected as
   // unsettled (the tick retries until they settle and are re-admitted).
   bool fast_dirty = true;
-  std::uint64_t fast_seen_seq = 0;  // last rebuild_fast_tier() clock applied
 
   // Lock-free serving counters, this worker the only writer (one cache
   // line; see StatCell). The interval-stats tick and worker_stats() read
@@ -165,15 +164,8 @@ void MuxServer::drain_updates(Worker& worker) {
         worker.smux.remove_vip(u.vip);
         worker.fast_dirty = true;
         break;
-      case PendingUpdate::Kind::kMapDip:
-        break;
     }
   }
-}
-
-void MuxServer::rebuild_fast_tier() {
-  fast_rebuild_seq_.fetch_add(1, std::memory_order_acq_rel);
-  for (const auto& worker : workers_) worker->loop.wake();
 }
 
 void MuxServer::apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
@@ -217,18 +209,6 @@ void MuxServer::apply_vip_removal(Ipv4Address vip) {
   PendingUpdate u;
   u.kind = PendingUpdate::Kind::kRemoveVip;
   u.vip = vip;
-  enqueue_update(u);
-}
-
-void MuxServer::apply_dip_map(Ipv4Address dip, Endpoint at) {
-  {
-    std::lock_guard<std::mutex> lock(config_mu_);
-    dip_map_.insert(dip, at);
-  }
-  if (!running()) return;
-  PendingUpdate u;
-  u.kind = PendingUpdate::Kind::kMapDip;
-  u.maps.push_back(DipEndpoint{dip, at});
   enqueue_update(u);
 }
 
@@ -312,10 +292,7 @@ double MuxServer::now_us() const {
 }
 
 void MuxServer::maybe_rebuild_fast(Worker& worker, double now) {
-  if (!opts_.fast_tier) return;
-  const std::uint64_t seq = fast_rebuild_seq_.load(std::memory_order_acquire);
-  if (!worker.fast_dirty && seq == worker.fast_seen_seq) return;
-  worker.fast_seen_seq = seq;
+  if (!worker.fast_dirty) return;
   // No stateless engine admits nothing, and an empty table has nothing to
   // drop: the snapshot would come out empty again (a stateful deployment).
   if (worker.smux.stateless_engine() == nullptr && worker.fast.current()->empty()) {
@@ -436,7 +413,7 @@ std::size_t MuxServer::pump(Worker& worker, bool draining) {
     worker.chosen.resize(worker.pkts.size());
     std::uint64_t fast_hits = 0;
     std::uint64_t fast_misses = 0;
-    const FastTierTable* fast = opts_.fast_tier ? worker.fast.acquire(0) : nullptr;
+    const FastTierTable* fast = worker.fast.acquire(0);
     if (fast != nullptr && fast->empty()) {
       worker.fast.release(0);
       fast = nullptr;  // nothing admitted: skip the probe pass entirely

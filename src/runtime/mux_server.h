@@ -57,11 +57,6 @@ struct MuxServerOptions {
   // evictor (Smux::expire_flows_step). Bounds eviction work per tick so GC
   // never stalls a batch; the full table is cycled across successive ticks.
   std::size_t evict_scan_slots = 2048;
-  // In-process HMux fast tier (DESIGN.md §17): per-batch hot-VIP lookups
-  // before Smux::process_batch. Costs one direct-mapped probe per packet
-  // when nothing is admitted; admission is automatic (settled stateless
-  // VIPs only), so a stateful deployment behaves identically either way.
-  bool fast_tier = true;
   // Pins worker i to CPU (i mod online CPUs) via pthread_setaffinity_np.
   // Overridable by the DUET_CPU_PIN env var ("1"/"0"); a failed pin (no
   // Linux, restricted sandbox) degrades to unpinned, never an error.
@@ -97,9 +92,9 @@ class MuxServer {
   // DIP→endpoint map copy). Convergence latency is one loop wake-up per
   // worker, independent of tick_ms. duetd drives these from its ops socket.
   //
-  // `new_endpoints` maps the update's fresh DIPs (like apply_dip_map) in
-  // the same queue entry, so one control op costs each worker one wake
-  // however many DIPs it brings.
+  // `new_endpoints` maps the update's fresh DIPs (where packets chosen for
+  // them are forwarded) in the same queue entry, so one control op costs
+  // each worker one wake however many DIPs it brings.
   struct DipEndpoint {
     Ipv4Address dip;
     Endpoint at;
@@ -108,12 +103,6 @@ class MuxServer {
                         std::vector<std::uint32_t> weights = {},
                         std::vector<DipEndpoint> new_endpoints = {});
   void apply_vip_removal(Ipv4Address vip);
-  void apply_dip_map(Ipv4Address dip, Endpoint at);
-  // Requests a fast-tier re-snapshot on every worker (applied when the
-  // worker is woken, like the update queue). VIP changes trigger one
-  // implicitly; this is the explicit controller/duetd epoch push
-  // (kFastTierRebuild).
-  void rebuild_fast_tier();
 
   // --- lifecycle ------------------------------------------------------------
   // Binds the worker sockets and launches the serving threads. False when a
@@ -226,10 +215,6 @@ class MuxServer {
   std::atomic<bool> running_{false};
   std::thread runner_;
   std::chrono::steady_clock::time_point t0_;
-
-  // Fast-tier rebuild request clock: rebuild_fast_tier() bumps it, each
-  // woken worker re-snapshots when its seen value lags.
-  std::atomic<std::uint64_t> fast_rebuild_seq_{0};
 
   // Interval-stats state; touched only by worker 0's tick. The interval
   // path reads ONLY the per-worker lock-free cells (one relaxed load each)

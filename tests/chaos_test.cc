@@ -228,8 +228,8 @@ TEST(ChaosRunnerTest, SweepShardsAreIndependentScenarios) {
 }
 
 TEST(ChaosRunnerTest, FloodAdapterMatchesItsHistoricalContract) {
-  // The refactored flood scenario (src/stateless) is a plan of the shared
-  // injectors; the qualitative outcome must be the same story bench gates on.
+  // A SYN flood over background churn, composed from the shared injectors:
+  // the stateful table is exhausted while the stateless engine keeps PCC.
   ChaosEnv env;
   env.ticks = 6;
   env.established_flows = 128;

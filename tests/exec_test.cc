@@ -9,7 +9,6 @@
 #include <numeric>
 #include <vector>
 
-#include "exec/replay.h"
 #include "exec/sweep.h"
 #include "exec/thread_pool.h"
 #include "sim/failure.h"

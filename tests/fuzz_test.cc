@@ -19,7 +19,6 @@
 #include "dataplane/pipeline.h"
 #include "duet/smux.h"
 #include "dataplane/tables.h"
-#include "exec/replay.h"
 #include "net/wire.h"
 #include "persist/ctl_protocol.h"
 #include "persist/framing.h"
@@ -244,68 +243,6 @@ TEST_P(DataplaneChurn, TablesNeverLeakUnderRandomChurn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DataplaneChurn, ::testing::Values(3ULL, 42ULL, 777ULL));
-
-// --- Batched parallel replay vs. per-packet serial reference ----------------------------
-//
-// The long random packet sequences above run serially; this leg replays the
-// same style of sequence through exec::replay_packets and checks that the
-// sharded, work-stolen execution reaches exactly the serial verdicts — the
-// fuzz suite's stake in the determinism contract.
-
-class ReplayFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ReplayFuzz, ShardedReplayMatchesSerialPipeline) {
-  Rng rng{GetParam()};
-  const FlowHasher hasher{GetParam() ^ 0x9e37ULL};
-
-  // A handful of VIPs with varied DIP sets; a quarter of the traffic misses.
-  std::vector<std::pair<Ipv4Address, std::vector<Ipv4Address>>> vips;
-  for (int v = 0; v < 6; ++v) {
-    std::vector<Ipv4Address> dips;
-    const std::size_t n = 1 + rng.uniform(30);
-    for (std::size_t i = 0; i < n; ++i) {
-      dips.push_back(Ipv4Address{(10u << 24) + static_cast<std::uint32_t>(rng())});
-    }
-    vips.emplace_back(Ipv4Address{(100u << 24) + 1000u + static_cast<std::uint32_t>(v)},
-                      std::move(dips));
-  }
-  const auto make_replica = [&](exec::ShardContext&) {
-    SwitchDataPlane dp{hasher};
-    for (const auto& [vip, dips] : vips) EXPECT_TRUE(dp.install_vip(vip, dips));
-    return dp;
-  };
-
-  std::vector<Packet> packets;
-  for (int i = 0; i < 6000; ++i) {
-    const Ipv4Address dst = rng.uniform(4) == 0
-                                ? Ipv4Address{static_cast<std::uint32_t>(rng())}
-                                : vips[rng.uniform(vips.size())].first;
-    packets.emplace_back(FiveTuple{Ipv4Address{static_cast<std::uint32_t>(rng())}, dst,
-                                   static_cast<std::uint16_t>(rng()),
-                                   static_cast<std::uint16_t>(rng()), IpProto::kTcp},
-                         64);
-  }
-
-  SwitchDataPlane serial{hasher};
-  for (const auto& [vip, dips] : vips) ASSERT_TRUE(serial.install_vip(vip, dips));
-
-  exec::ThreadPool pool{8};
-  exec::ReplayOptions opts;
-  opts.pool = &pool;
-  const auto got = exec::replay_packets(make_replica, packets, opts);
-  ASSERT_EQ(got.verdicts.size(), packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    Packet p = packets[i];
-    const auto want = serial.process(p);
-    ASSERT_EQ(got.verdicts[i], want) << "packet " << i;
-    if (want == PipelineVerdict::kEncapsulated) {
-      ASSERT_EQ(got.encap_dst[i], p.outer().outer_dst) << "packet " << i;
-    }
-  }
-  EXPECT_EQ(got.no_match + got.encapsulated + got.dropped, packets.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ReplayFuzz, ::testing::Values(11ULL, 222ULL, 0xc0ffeeULL));
 
 // --- Wire format: parse_packet over mutated datagrams ----------------------------------
 //

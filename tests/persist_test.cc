@@ -28,7 +28,6 @@
 #include "persist/ctl_protocol.h"
 #include "persist/daemon.h"
 #include "persist/framing.h"
-#include "persist/journal_io.h"
 #include "persist/op_log.h"
 #include "persist/state_image.h"
 #include "persist/store.h"
@@ -257,36 +256,6 @@ TEST(PersistFraming, CorruptedByteInvalidatesTheTail) {
   EXPECT_EQ(result.frames[0].type, 1);
 }
 
-// --- telemetry journal IO -----------------------------------------------------
-
-TEST(PersistJournalIo, RoundTripsBitExact) {
-  telemetry::EventJournal journal;
-  journal.record(telemetry::Event{1.5, telemetry::EventKind::kVipAdded, Ipv4Address{100, 0, 0, 1},
-                                  Ipv4Address{10, 0, 0, 1}, 3, 7, 8, 9, "hello"});
-  journal.record(telemetry::Event{-0.25, telemetry::EventKind::kPersistRecover, {}, {},
-                                  telemetry::kNoSwitch, 42, 0, 1, ""});
-  TempDir dir;
-  const std::string path = dir.path() + "/journal.duet";
-  ASSERT_TRUE(write_journal(path, journal));
-  const auto result = read_journal(path);
-  ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_FALSE(result.truncated_tail);
-  ASSERT_EQ(result.journal.size(), 2u);
-  const auto& got = result.journal.events();
-  const auto& want = journal.events();
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].t_us, want[i].t_us);
-    EXPECT_EQ(got[i].kind, want[i].kind);
-    EXPECT_EQ(got[i].vip, want[i].vip);
-    EXPECT_EQ(got[i].dip, want[i].dip);
-    EXPECT_EQ(got[i].sw, want[i].sw);
-    EXPECT_EQ(got[i].a, want[i].a);
-    EXPECT_EQ(got[i].b, want[i].b);
-    EXPECT_EQ(got[i].c, want[i].c);
-    EXPECT_EQ(got[i].detail, want[i].detail);
-  }
-}
-
 // --- op codec -----------------------------------------------------------------
 
 TEST(PersistOpLog, OpsRoundTripThroughTheCodec) {
@@ -337,14 +306,6 @@ TEST(PersistOpLog, OpsRoundTripThroughTheCodec) {
     op.kind = OpKind::kSetEngineOverride;
     op.vip = Ipv4Address{100, 0, 1, 1};
     op.engine = static_cast<std::uint8_t>(SmuxEngine::kStateless);
-    ops.push_back(op);
-  }
-  {
-    Op op;
-    op.seq = 17;
-    op.kind = OpKind::kFastTierRebuild;
-    op.t_us = 42.5;
-    op.addrs = {Ipv4Address{100, 0, 0, 1}.value(), Ipv4Address{100, 0, 1, 1}.value()};
     ops.push_back(op);
   }
   for (const Op& op : ops) {
@@ -722,6 +683,35 @@ TEST(PersistRecovery, BootsFromOpLogTornBeforeTheMagicStamp) {
   }
 }
 
+TEST(PersistRecovery, RefusesAnOpKindThisBuildDoesNotKnow) {
+  // Kind 14 is the retired fast-tier directive; 200 was never assigned. A
+  // log written by another build must not boot with either silently skipped.
+  const auto fabric = build_fattree(FatTreeParams::scaled(2, 4, 2));
+  for (const std::uint8_t kind : {std::uint8_t{14}, std::uint8_t{200}}) {
+    TempDir dir;
+    {
+      auto log = OpLog::open(dir.path() + "/oplog.duet", FsyncPolicy::kNone, 1);
+      ASSERT_TRUE(log.has_value());
+      Op deploy;
+      deploy.kind = OpKind::kDeploySmuxes;
+      deploy.aggregate = Ipv4Prefix{Ipv4Address{100, 0, 0, 0}, 8};
+      deploy.addrs = {fabric.tors.front(), fabric.tors.back()};
+      ASSERT_EQ(log->append(deploy), 1u);
+      Op unknown;
+      unknown.kind = static_cast<OpKind>(kind);
+      ASSERT_EQ(log->append(unknown), 2u);
+    }
+    StoreOptions so;
+    so.dir = dir.path();
+    std::string error;
+    EXPECT_EQ(PersistentController::open(fabric, DuetConfig{}, FlowHasher{1}, 1, so, &error),
+              nullptr)
+        << "kind " << int{kind};
+    EXPECT_EQ(error, "op log contains an unknown op kind (version skew) at seq 2")
+        << "kind " << int{kind};
+  }
+}
+
 // --- snapshot compaction bound ------------------------------------------------
 
 TEST(PersistSnapshot, ReplayLengthIsBoundedByOpsSinceLastSnapshot) {
@@ -865,6 +855,7 @@ TEST(PersistDaemon, MutateCrashRecoverServesRecoveredState) {
   opts.port = 0;
   opts.mux_workers = 1;
   opts.snapshot_every_ops = 0;  // force recovery to replay the whole log
+  opts.engine = SmuxEngine::kStateless;  // every settled VIP is fast-tier eligible
   {
     Duetd daemon{opts};
     std::string error;
@@ -879,9 +870,9 @@ TEST(PersistDaemon, MutateCrashRecoverServesRecoveredState) {
     EXPECT_TRUE(daemon.handle({"migrate", "100.0.1.1", "smux"}).ok());
     EXPECT_TRUE(daemon.handle({"migrate", "100.0.2.1", "1"}).ok());
     EXPECT_TRUE(daemon.handle({"audit"}).ok());
-    // Serving-plane directive: journaled like any mutation, surfaced in stats.
-    EXPECT_TRUE(daemon.handle({"rebuild-fast-tier"}).ok());
     EXPECT_NE(daemon.handle({"stats"}).text.find("fast tier:"), std::string::npos);
+    // The retired fast-tier directive is no longer a command.
+    EXPECT_EQ(daemon.handle({"rebuild-fast-tier"}).status, 2);
 
     // Validation failures are server-reported (status 1/2), never aborts.
     EXPECT_EQ(daemon.handle({"add-vip", "100.0.1.1", "10.0.0.9"}).status, 1);  // duplicate
@@ -907,9 +898,17 @@ TEST(PersistDaemon, MutateCrashRecoverServesRecoveredState) {
   if (!reborn.start(&error)) GTEST_SKIP() << "daemon restart failed (" << error << ")";
   EXPECT_TRUE(reborn.store().recovery().recovered);
   EXPECT_EQ(reborn.store().recovery().audit_summary, "clean");
-  // The journaled fast-tier rebuild survived the crash and was re-driven
-  // against the reborn serving path (store.h RecoveryInfo contract).
-  EXPECT_GE(reborn.store().recovery().fast_tier_rebuilds, 1u);
+  // The reborn serving path re-admits its settled stateless VIPs to the fast
+  // tier on its own: the first probes already hit it.
+  if (auto probe = runtime::UdpSocket::bind(runtime::Endpoint{Ipv4Address{127, 0, 0, 1}, 0})) {
+    const auto fast_hits = [&reborn] { return reborn.mux().worker_stats()[0].fast_hits; };
+    for (int i = 0; i < 5 && fast_hits() == 0; ++i) {
+      EXPECT_GE(runtime::probe_until_echo(*probe, reborn.listen_endpoint(),
+                                          Ipv4Address{100, 0, 1, 1}, 1000.0),
+                0.0);
+    }
+    EXPECT_GT(fast_hits(), 0u) << "the recovered stateless VIP never hit the fast tier";
+  }
   const auto& ctl = reborn.store().controller();
   EXPECT_EQ(ctl.vip_count(), 2u);
   EXPECT_EQ(ctl.dips_of(Ipv4Address{100, 0, 1, 1}).size(), 3u);

@@ -16,7 +16,7 @@
 #include "duet/assignment.h"
 #include "duet/migration.h"
 #include "duet/smux.h"
-#include "exec/replay.h"
+#include "exec/sweep.h"
 #include "sim/flowsim.h"
 #include "telemetry/export.h"
 #include "topo/paths.h"
@@ -329,70 +329,6 @@ TEST_P(RegistryMergeProperty, ShardedMergeEqualsSingleRegistryInAnyOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegistryMergeProperty,
                          ::testing::Values(1ULL, 42ULL, 0xdeadbeefULL));
-
-// --- Parallel packet replay: shard-count invariance ------------------------------
-
-class ReplayProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ReplayProperty, ShardedReplayMatchesSerialReference) {
-  const std::uint64_t seed = GetParam();
-  const FlowHasher hasher{seed};
-  const Ipv4Address vip{100, 9, 9, 9};
-  std::vector<Ipv4Address> dips;
-  for (int i = 0; i < 24; ++i) dips.push_back(Ipv4Address{(10u << 24) + 500u + i});
-
-  const auto make_replica = [&](exec::ShardContext&) {
-    SwitchDataPlane dp{hasher};
-    EXPECT_TRUE(dp.install_vip(vip, dips));
-    return dp;
-  };
-
-  // Random mix of VIP hits and misses.
-  Rng rng{seed ^ 0x5eedULL};
-  std::vector<Packet> packets;
-  for (int i = 0; i < 4000; ++i) {
-    const Ipv4Address dst = rng.uniform(4) == 0 ? Ipv4Address{9, 9, 9, 9} : vip;
-    packets.emplace_back(FiveTuple{Ipv4Address(172, 1, 2, 3), dst,
-                                   static_cast<std::uint16_t>(rng.uniform(65535) + 1), 443,
-                                   IpProto::kTcp},
-                         64);
-  }
-
-  // Serial ground truth, bypassing the replay machinery entirely.
-  SwitchDataPlane ref_dp{hasher};
-  ASSERT_TRUE(ref_dp.install_vip(vip, dips));
-  std::vector<PipelineVerdict> ref_verdicts;
-  std::vector<Ipv4Address> ref_dst;
-  for (const Packet& p : packets) {
-    Packet copy = p;
-    const auto v = ref_dp.process(copy);
-    ref_verdicts.push_back(v);
-    ref_dst.push_back(v == PipelineVerdict::kEncapsulated ? copy.outer().outer_dst
-                                                          : Ipv4Address{});
-  }
-
-  exec::ThreadPool pool{4};
-  exec::ReplayResult one;
-  for (const std::size_t shards : {1, 3, 8}) {
-    exec::ReplayOptions opts;
-    opts.pool = &pool;
-    opts.shards = shards;
-    auto got = exec::replay_packets(make_replica, packets, opts);
-    EXPECT_EQ(got.verdicts, ref_verdicts) << "shards " << shards;
-    EXPECT_EQ(got.encap_dst, ref_dst) << "shards " << shards;
-    EXPECT_EQ(got.no_match + got.encapsulated + got.dropped, packets.size());
-    if (shards == 1) {
-      one = std::move(got);
-    } else {
-      EXPECT_TRUE(got == one) << "shards " << shards;
-      // Merged per-shard counters are shard-count invariant too.
-      EXPECT_EQ(got.metrics->counter("duet.replay.table_lookups").value(),
-                one.metrics->counter("duet.replay.table_lookups").value());
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ReplayProperty, ::testing::Values(1ULL, 7ULL, 0xfeedULL));
 
 }  // namespace
 }  // namespace duet

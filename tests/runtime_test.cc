@@ -416,8 +416,7 @@ TEST(MuxServerLive, LiveUpdatesServeWithoutWaitingForTheTick) {
   const Ipv4Address dip{10, 7, 0, 1};
   const auto at = dips.add_dip(dip);
   ASSERT_TRUE(at.has_value());
-  mux.apply_dip_map(dip, *at);
-  mux.apply_vip_update(vip, {dip});
+  mux.apply_vip_update(vip, {dip}, {}, {{dip, *at}});
   EXPECT_GE(probe_until_echo(*probe, mux.listen_endpoint(), vip, 1000.0), 0.0)
       << "no echo within 1 s of apply_vip_update";
   EXPECT_GT(dips.packets_at(dip), 0u);
@@ -502,21 +501,24 @@ TEST(MuxServerLive, StatefulServerNeverRebuildsAnEmptyFastTier) {
   constexpr std::uint8_t kVips = 16;
   std::vector<Ipv4Address> vips;
   std::vector<Ipv4Address> pool_dips;
+  std::vector<Endpoint> pool_at;
   for (std::uint8_t v = 0; v < kVips; ++v) {
     vips.push_back(Ipv4Address{100, 0, 9, static_cast<std::uint8_t>(v + 1)});
     pool_dips.push_back(Ipv4Address{10, 9, 0, static_cast<std::uint8_t>(v + 1)});
     const auto at = dips.add_dip(pool_dips.back());
     ASSERT_TRUE(at.has_value());
-    mux.apply_dip_map(pool_dips.back(), *at);
+    pool_at.push_back(*at);
   }
   // Boot: the first VIP serves, so the worker has run its first snapshot.
-  mux.apply_vip_update(vips[0], {pool_dips[0]});
+  mux.apply_vip_update(vips[0], {pool_dips[0]}, {}, {{pool_dips[0], pool_at[0]}});
   ASSERT_GE(probe_until_echo(*probe, mux.listen_endpoint(), vips[0], 1000.0), 0.0);
   const std::uint64_t boot_rebuilds = mux.worker_stats()[0].fast_rebuilds;
   const std::uint64_t boot_wakes = mux.worker_stats()[0].wakes;
 
   // New VIPs, then a DIP change on each: 2 * kVips - 1 live updates.
-  for (std::uint8_t v = 1; v < kVips; ++v) mux.apply_vip_update(vips[v], {pool_dips[v]});
+  for (std::uint8_t v = 1; v < kVips; ++v) {
+    mux.apply_vip_update(vips[v], {pool_dips[v]}, {}, {{pool_dips[v], pool_at[v]}});
+  }
   for (std::uint8_t v = 0; v < kVips; ++v) {
     mux.apply_vip_update(vips[v], {pool_dips[v], pool_dips[(v + 1) % kVips]});
   }

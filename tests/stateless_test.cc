@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/plan.h"
+#include "chaos/runner.h"
 #include "duet/config.h"
 #include "duet/decision_engine.h"
 #include "duet/smux.h"
@@ -15,7 +17,6 @@
 #include "exec/thread_pool.h"
 #include "net/hash.h"
 #include "net/packet.h"
-#include "stateless/flood_scenario.h"
 #include "stateless/stateless_engine.h"
 #include "stateless/versioned_map.h"
 #include "telemetry/metrics.h"
@@ -512,8 +513,22 @@ TEST(StatelessPcc, SweepWidthOneAndNBitForBit) {
 // ---------------------------------------------------------------------------
 
 TEST(StatelessFlood, StatelessImmuneStatefulExhausted) {
-  const stateless::FloodReport r =
-      stateless::run_flood_scenario(stateless::FloodParams{}, DuetConfig{}, 0xf100d);
+  // Eight rounds of distinct spoofed tuples over a churning pool, at the
+  // default version retention (not the chaos suite's unbounded setting).
+  constexpr std::uint64_t kSeed = 0xf100d;
+  chaos::ChaosEnv env;
+  env.ticks = 9;  // 8 flood/churn rounds + the final keepalive pass
+  env.unbounded_versions = false;
+  env.traffic_seed = kSeed;
+  chaos::SynFloodParams syn;
+  syn.end_tick = 8;
+  chaos::RandomChurnParams churn;
+  churn.end_tick = 9;
+  const chaos::ChaosReport r = chaos::run_chaos(
+      chaos::compose_plan("flood", env,
+                          {chaos::syn_flood(syn, env, kSeed),
+                           chaos::random_churn(churn, env, mix64(kSeed ^ 0x9e3779b97f4a7c15ULL))}),
+      DuetConfig{});
 
   EXPECT_EQ(r.stateless.pcc_violations, 0u);
   EXPECT_EQ(r.stateless.evictions, 0u);
@@ -523,20 +538,8 @@ TEST(StatelessFlood, StatelessImmuneStatefulExhausted) {
   // The same plan exhausts the stateful table: cap shedding, lost pins.
   EXPECT_GT(r.stateful.evictions, 0u);
   EXPECT_GT(r.stateful.pcc_violations, 0u);
-  EXPECT_EQ(r.stateful.flow_entries_peak, stateless::FloodParams{}.flow_table_cap);
+  EXPECT_EQ(r.stateful.flow_entries_peak, env.flow_table_cap);
   EXPECT_EQ(r.stateful.packets, r.stateless.packets);
-}
-
-TEST(StatelessFlood, SweepIsWidthDeterministic) {
-  stateless::FloodParams params;
-  params.flood_tuples = 2048;
-  params.rounds = 4;
-  exec::ThreadPool serial(1);
-  exec::ThreadPool wide(4);
-  const auto a = stateless::sweep_flood(params, DuetConfig{}, 2, 31337, &serial);
-  const auto b = stateless::sweep_flood(params, DuetConfig{}, 2, 31337, &wide);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t s = 0; s < a.size(); ++s) EXPECT_EQ(a[s], b[s]);
 }
 
 // ---------------------------------------------------------------------------
